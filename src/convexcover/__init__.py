@@ -8,60 +8,44 @@ machinery peels the largest convex region avoiding marked rotten areas
 within a factor of four.
 """
 
-from .arrangement import (
-    Arrangement,
-    DiagonalExtension,
-    Face,
-    build_arrangement,
-    diagonal_extensions,
-    extend_within,
-    mark_covered,
-)
+from .arrangement import (Arrangement, DiagonalExtension, Face, build_arrangement,
+                          diagonal_extensions)
 from .cover import CoverSolution, VerificationReport, greedy_cover, triangulate, verify_cover
-from .errors import (
-    CapExceeded,
-    CycleDetected,
-    InvalidPolygonError,
-    NonConvexClosure,
-    PreconditionViolation,
-)
-from .exact_geom import (
-    COLLINEAR,
-    LEFT,
-    RIGHT,
-    ConvexPolygon,
-    Location,
-    Point,
-    PolygonWithHoles,
-    Rational,
-    Segment,
-    clip_convex,
-    convex_hull,
-    orientation,
-    point_location,
-    pt,
-    rat,
-    ring_area,
-    segment_in_polygon,
-    segment_intersection,
-)
-from .peel_dag import (
-    CellPartition,
-    ClippedSegment,
-    DirectedSubsegment,
-    PeelDag,
-    best_restricted,
-    build_anchor_dags,
-    build_dag,
-    cell_partition,
-    clip_and_orient,
-    heaviest_maximal_path,
-    path_polygon,
-    reflex_split,
-    sst_weights,
-    visibility_extensions,
-)
-from .rotten import PeelSolution, RottenSet, good_area_of_triangle, rotten_potato_peel
+from .errors import CycleDetected, InvalidPolygonError, NonConvexClosure, PreconditionViolation
+from .exact_geom import ConvexPolygon, Point, PolygonWithHoles, pt
+from .peel_dag import PeelDag, build_anchor_dags, heaviest_maximal_path, sst_weights
+from .rotten import PeelSolution, RottenSet, rotten_potato_peel
 from .visibility import VisibilityPolygon, visibility_polygon
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # problems and their solutions
+    "PolygonWithHoles",
+    "Point",
+    "pt",
+    "ConvexPolygon",
+    "greedy_cover",
+    "CoverSolution",
+    "rotten_potato_peel",
+    "RottenSet",
+    "PeelSolution",
+    # intermediate machinery
+    "diagonal_extensions",
+    "DiagonalExtension",
+    "build_arrangement",
+    "Arrangement",
+    "Face",
+    "visibility_polygon",
+    "VisibilityPolygon",
+    "build_anchor_dags",
+    "PeelDag",
+    "sst_weights",
+    "heaviest_maximal_path",
+    "triangulate",
+    "verify_cover",
+    "VerificationReport",
+    # errors
+    "InvalidPolygonError",
+    "PreconditionViolation",
+    "CycleDetected",
+    "NonConvexClosure",
+]

@@ -9,7 +9,7 @@ greedy cover counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,9 +39,6 @@ class DiagonalExtension:
     """Maximal in-polygon segment through one or more visible vertex pairs."""
     segment: Segment
     generators: Tuple[Tuple[Point, Point], ...]
-
-    def line_key(self) -> Tuple:
-        return (self.segment.a, self.segment.b)
 
 
 def _line_polygon_components(poly: PolygonWithHoles, origin: Point, direction: Point):
@@ -164,24 +161,6 @@ class Arrangement:
         """(param, vid) pairs of arrangement vertices with lo <= param <= hi."""
         pts = self.ext_points[ext_index]
         return [pv for pv in pts if lo <= pv[0] <= hi]
-
-    def subedge_faces(self, ext_index: int, param: Rational):
-        """Faces on both sides of the extension's sub-edge containing param.
-
-        Returns ((vid_a, vid_b), face_left_of_a_to_b, face_left_of_b_to_a)
-        where a is the sub-edge endpoint with the smaller parameter.
-        The caller guarantees param falls strictly inside a sub-edge.
-        """
-        pts = self.ext_points[ext_index]
-        lo, hi = 0, len(pts) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= param:
-                lo = mid
-            else:
-                hi = mid
-        a, b = pts[lo][1], pts[lo + 1][1]
-        return (a, b), self.halfedge_face.get((a, b)), self.halfedge_face.get((b, a))
 
 
 def _fan_rep(ring: Sequence[Point]) -> Point:

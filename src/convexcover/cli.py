@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from .arrangement import build_arrangement
-from .cover import greedy_cover, triangulate, verify_cover
+from .cover import check_pieces, greedy_cover, verify_cover
 from .errors import CapExceeded, InvalidPolygonError, PreconditionViolation
 from .fileio import (
-    decode_ring,
+    decode_number,
+    decode_rings,
     dump_json,
     encode_number,
     encode_ring,
@@ -41,7 +41,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
 def cmd_cover(args: argparse.Namespace) -> int:
     name, poly = load_instance(args.instance)
     t0 = time.monotonic()
-    sol = greedy_cover(poly, max_iters=args.max_iters, threads=args.threads)
+    sol = greedy_cover(poly, max_iters=args.max_iters)
     dt = time.monotonic() - t0
     meta: Dict[str, Any] = {
         "iterations": sol.iterations,
@@ -54,7 +54,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     _write_output(text, args.output)
     print(f"{name}: {len(sol.pieces)} pieces by {sol.algorithm} "
           f"in {dt:.3f}s", file=sys.stderr)
-    vr = verify_cover(poly, None, sol.pieces)
+    vr = verify_cover(poly, sol.arrangement, sol.pieces)
     if not vr.ok:
         for msg in vr.messages:
             print(f"verification failed: {msg}", file=sys.stderr)
@@ -66,7 +66,7 @@ def cmd_peel(args: argparse.Namespace) -> int:
     name, poly = load_instance(args.instance)
     regions = load_regions(args.rotten)
     t0 = time.monotonic()
-    sol = rotten_potato_peel(poly, regions, threads=args.threads)
+    sol = rotten_potato_peel(poly, regions)
     dt = time.monotonic() - t0
     meta = {
         "value": encode_number(sol.value),
@@ -86,7 +86,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report: Dict[str, Any] = {"instance": name, "algorithm": algorithm}
 
     if algorithm == "rotten-peel":
-        regions = [decode_ring(r) for r in meta.get("regions", [])]
+        regions = decode_rings(meta.get("regions", []), "regions")
         rotten = RottenSet.build(poly, regions)
         ok = True
         notes: List[str] = []
@@ -95,11 +95,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             notes.append("peel solution must contain exactly one polygon")
         else:
             piece = polygons[0]
-            vr = verify_cover(poly, None, [piece])
-            if not (vr.convex_ok and vr.containment_ok):
+            convex_ok, containment_ok, messages = check_pieces(poly, [piece])
+            if not (convex_ok and containment_ok):
                 ok = False
-                notes.extend(vr.messages)
-            claimed = Fraction(str(meta.get("value", "0")))
+                notes.extend(messages)
+            claimed = decode_number(meta.get("value", 0))
             actual = rotten.good_area_of(piece.ring)
             report["value"] = encode_number(actual)
             if claimed != actual:
@@ -178,14 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("peel", help="largest convex region avoiding rotten parts")
     p.add_argument("instance")
     p.add_argument("rotten")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_peel)
 
     p = sub.add_parser("verify", help="check a solution file")
@@ -219,7 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InvalidPolygonError, PreconditionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

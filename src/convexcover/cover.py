@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .arrangement import Arrangement, build_arrangement, mark_covered
 from .errors import InvalidPolygonError
@@ -27,19 +27,22 @@ from .peel_dag import best_restricted, build_anchor_dags
 class CoverSolution:
     """Convex pieces whose union is the polygon, plus how they were found."""
     polygon: PolygonWithHoles
+    arrangement: Arrangement            # the faces the pieces cover
     pieces: List[ConvexPolygon]
     algorithm: str                      # "greedy-cover" or "triangulation"
     iterations: int = 0
     gains: List[int] = field(default_factory=list)
-    face_count: int = 0
+
+    @property
+    def face_count(self) -> int:
+        return self.arrangement.face_count()
 
     @property
     def fallback_used(self) -> bool:
         return self.algorithm == "triangulation"
 
 
-def greedy_cover(poly: PolygonWithHoles, max_iters: Optional[int] = None,
-                 threads: int = 1) -> CoverSolution:
+def greedy_cover(poly: PolygonWithHoles, max_iters: Optional[int] = None) -> CoverSolution:
     """Cover the polygon with restricted convex polygons, best gain first.
 
     Each round takes the anchored polygon (or reflex pair) covering the
@@ -49,16 +52,15 @@ def greedy_cover(poly: PolygonWithHoles, max_iters: Optional[int] = None,
     replaces the partial cover.
     """
     arr = build_arrangement(poly)
-    dags = build_anchor_dags(poly, arr, with_partition=True, threads=threads)
+    dags = build_anchor_dags(poly, arr, with_partition=True)
     budget = poly.vertex_count() if max_iters is None else max_iters
 
     pieces: List[ConvexPolygon] = []
     gains: List[int] = []
     while arr.uncovered_count() > 0:
         if len(gains) >= budget:
-            tris = triangulate(poly)
-            return CoverSolution(poly, tris, "triangulation",
-                                 iterations=len(gains), face_count=arr.face_count())
+            return CoverSolution(poly, arr, triangulate(poly), "triangulation",
+                                 iterations=len(gains))
         choice = best_restricted(arr, dags)
         if choice is None or choice.value <= 0:
             raise RuntimeError("greedy step found no progress with faces uncovered")
@@ -69,9 +71,8 @@ def greedy_cover(poly: PolygonWithHoles, max_iters: Optional[int] = None,
             raise RuntimeError("chosen pieces cover no new face")
         pieces.extend(choice.polygons)
         gains.append(gained)
-    return CoverSolution(poly, pieces, "greedy-cover",
-                         iterations=len(gains), gains=gains,
-                         face_count=arr.face_count())
+    return CoverSolution(poly, arr, pieces, "greedy-cover",
+                         iterations=len(gains), gains=gains)
 
 
 def _bridge_hole(ring: List[Point], hole: Tuple[Point, ...],
@@ -174,12 +175,11 @@ class VerificationReport:
         return self.convex_ok and self.containment_ok and self.coverage_ok
 
 
-def verify_cover(poly: PolygonWithHoles, arr: Optional[Arrangement],
-                 pieces: Sequence[ConvexPolygon]) -> VerificationReport:
-    """Check convexity, containment in the region, and full face coverage.
+def check_pieces(poly: PolygonWithHoles, pieces: Sequence[ConvexPolygon]
+                 ) -> Tuple[bool, bool, List[str]]:
+    """Convexity and containment in the region of every piece.
 
-    Coverage is decided on the arrangement (built here when arr is
-    None): every face representative must land in some piece. Pieces are
+    Returns (convex_ok, containment_ok, messages). Pieces are
     re-validated from their rings so the check does not trust the
     construction path.
     """
@@ -211,7 +211,18 @@ def verify_cover(poly: PolygonWithHoles, arr: Optional[Arrangement],
                     containment_ok = False
                     messages.append(f"piece {idx} overlaps a hole")
                     break
+    return convex_ok, containment_ok, messages
 
+
+def verify_cover(poly: PolygonWithHoles, arr: Optional[Arrangement],
+                 pieces: Sequence[ConvexPolygon]) -> VerificationReport:
+    """Check convexity, containment in the region, and full face coverage.
+
+    Coverage is decided on the arrangement (built here when arr is
+    None): its cover marks are reset, then every face representative
+    must land in some piece.
+    """
+    convex_ok, containment_ok, messages = check_pieces(poly, pieces)
     if arr is None:
         arr = build_arrangement(poly)
     arr.reset_cover()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidPolygonError
@@ -205,16 +204,6 @@ def ccw_compare_from(base: Point):
     return cmp
 
 
-def sort_directions_ccw(base: Point, dirs: Sequence[Point]) -> list:
-    return sorted(dirs, key=cmp_to_key(ccw_compare_from(base)))
-
-
-def angle_within(base: Point, limit: Point, d: Point) -> bool:
-    """True iff d lies in the closed CCW cone from base to limit."""
-    cmp = ccw_compare_from(base)
-    return cmp(d, limit) <= 0
-
-
 def normalize_convex_ring(points: Sequence[Point]) -> Optional[tuple]:
     """Canonical strictly-convex CCW ring, or None if degenerate.
 
@@ -323,31 +312,22 @@ def point_in_convex(p: Point, ring: Sequence[Point]) -> bool:
     return True
 
 
-def point_strictly_in_convex(p: Point, ring: Sequence[Point]) -> bool:
-    n = len(ring)
-    for i in range(n):
-        if orientation(ring[i], ring[(i + 1) % n], p) != LEFT:
-            return False
-    return True
-
-
 class Location(enum.Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
     EXTERIOR = "exterior"
 
 
-def _check_ring(ring: Sequence[Point], what: str, allow_straight: bool = False) -> None:
+def _check_ring(ring: Sequence[Point], what: str) -> None:
     n = len(ring)
     if n < 3:
         raise InvalidPolygonError("%s has %d vertices, need at least 3" % (what, n))
     if len(set(ring)) != n:
         raise InvalidPolygonError("%s repeats a vertex" % what)
-    if not allow_straight:
-        for i in range(n):
-            if orientation(ring[i - 1], ring[i], ring[(i + 1) % n]) == COLLINEAR:
-                raise InvalidPolygonError(
-                    "%s has collinear vertices at %s" % (what, (ring[i],)))
+    for i in range(n):
+        if orientation(ring[i - 1], ring[i], ring[(i + 1) % n]) == COLLINEAR:
+            raise InvalidPolygonError(
+                "%s has collinear vertices at %s" % (what, (ring[i],)))
     edges = list(ring_edges(ring))
     for i in range(n):
         for j in range(i + 1, n):
@@ -376,17 +356,16 @@ def _parity_inside(p: Point, ring: Sequence[Point]) -> bool:
     return inside
 
 
-def ring_location_generic(p: Point, ring: Sequence[Point]) -> str:
-    """Locate p against a bare simple ring: interior, boundary, exterior.
+def ring_location(p: Point, ring: Sequence[Point]) -> Location:
+    """Locate p against the region bounded by one simple ring.
 
-    Works for rings with collinear runs (split-piece boundaries), unlike
-    the validated polygon types.
+    The ring may run either way and may have collinear runs
+    (split-piece boundaries), unlike the validated polygon types.
     """
-    n = len(ring)
-    for i in range(n):
-        if on_segment(p, Segment(ring[i], ring[(i + 1) % n])):
-            return "boundary"
-    return "interior" if _parity_inside(p, ring) else "exterior"
+    for e in ring_edges(ring):
+        if on_segment(p, e):
+            return Location.BOUNDARY
+    return Location.INTERIOR if _parity_inside(p, ring) else Location.EXTERIOR
 
 
 class PolygonWithHoles:
@@ -489,13 +468,15 @@ class PolygonWithHoles:
 
 
 def point_location(p: Point, poly: PolygonWithHoles) -> Location:
-    for e in poly.boundary_edges():
-        if on_segment(p, e):
-            return Location.BOUNDARY
-    if not _parity_inside(p, poly.outer):
-        return Location.EXTERIOR
+    """Locate p against the closed region: a hole's interior is exterior."""
+    loc = ring_location(p, poly.outer)
+    if loc is not Location.INTERIOR:
+        return loc
     for h in poly.holes:
-        if _parity_inside(p, h):
+        loc = ring_location(p, h)
+        if loc is Location.BOUNDARY:
+            return loc
+        if loc is Location.INTERIOR:
             return Location.EXTERIOR
     return Location.INTERIOR
 
@@ -547,18 +528,7 @@ class ConvexPolygon:
         return ring_area(self.ring)
 
     def contains(self, p: Point) -> bool:
-        n = len(self.ring)
-        for i in range(n):
-            if orientation(self.ring[i], self.ring[(i + 1) % n], p) == RIGHT:
-                return False
-        return True
-
-    def contains_strictly(self, p: Point) -> bool:
-        n = len(self.ring)
-        for i in range(n):
-            if orientation(self.ring[i], self.ring[(i + 1) % n], p) != LEFT:
-                return False
-        return True
+        return point_in_convex(p, self.ring)
 
     def edges(self) -> Iterator[Segment]:
         return ring_edges(self.ring)

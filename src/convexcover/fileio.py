@@ -64,12 +64,18 @@ def encode_ring(ring: Sequence[Point]) -> List[List[Any]]:
     return [encode_point(p) for p in ring]
 
 
+def decode_rings(value: Any, what: str) -> List[Tuple[Point, ...]]:
+    if not isinstance(value, list):
+        raise InvalidPolygonError(f"{what} must be a list of rings")
+    return [decode_ring(r) for r in value]
+
+
 def parse_instance(data: Dict[str, Any]) -> Tuple[str, PolygonWithHoles]:
     if not isinstance(data, dict) or "outer" not in data:
         raise InvalidPolygonError("instance must be an object with an outer ring")
     name = data.get("name", "unnamed")
     outer = decode_ring(data["outer"])
-    holes = [decode_ring(h) for h in data.get("holes", [])]
+    holes = decode_rings(data.get("holes", []), "holes")
     return str(name), PolygonWithHoles(outer, holes)
 
 
@@ -81,7 +87,7 @@ def load_instance(path: str) -> Tuple[str, PolygonWithHoles]:
 def parse_regions(data: Dict[str, Any]) -> List[Tuple[Point, ...]]:
     if not isinstance(data, dict) or "regions" not in data:
         raise InvalidPolygonError("rotten file must be an object with regions")
-    return [decode_ring(r) for r in data["regions"]]
+    return decode_rings(data["regions"], "regions")
 
 
 def load_regions(path: str) -> List[Tuple[Point, ...]]:

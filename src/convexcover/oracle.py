@@ -100,13 +100,17 @@ def naive_sst_weight(v: Point, s: "DirectedSubsegment",
     return total
 
 
+def _sweeps_nothing(dag: PeelDag, path: Sequence[int]) -> bool:
+    """True iff the path never leaves a line through the anchor: it
+    sweeps a degenerate polygon that covers nothing."""
+    return all(orientation(dag.anchor, dag.nodes[i].src, dag.nodes[i].dst)
+               == COLLINEAR for i in path)
+
+
 def naive_path_weight(dag: PeelDag, path: Sequence[int]) -> Fraction:
     """Face weight of a path polygon counted cell by cell."""
     part = dag.partition
-    if all(orientation(dag.anchor, dag.nodes[i].src, dag.nodes[i].dst)
-           == COLLINEAR for i in path):
-        # the path never leaves a line through the anchor: it sweeps
-        # a degenerate polygon that covers nothing
+    if _sweeps_nothing(dag, path):
         return Fraction(0)
     poly = path_polygon(dag, path)
     total = Fraction(0)
@@ -135,10 +139,7 @@ def candidate_family(arr: Arrangement, dags: Sequence[PeelDag],
     masks: List[int] = []
     for dag in dags:
         for path in enumerate_maximal_paths(dag, node_cap, path_cap):
-            # paths that never leave a line through the anchor sweep a
-            # degenerate polygon and cover nothing
-            if all(orientation(dag.anchor, dag.nodes[i].src, dag.nodes[i].dst)
-                   == COLLINEAR for i in path):
+            if _sweeps_nothing(dag, path):
                 continue
             poly = path_polygon(dag, path)
             if poly.ring in seen:

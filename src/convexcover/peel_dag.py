@@ -25,8 +25,8 @@ from .errors import CycleDetected, NonConvexClosure, PreconditionViolation
 from .exact_geom import (
     ccw_compare_from,
     COLLINEAR,
-    LEFT,
     line_intersection,
+    Location,
     on_segment,
     orientation,
     Point,
@@ -35,7 +35,7 @@ from .exact_geom import (
     primitive_direction,
     Rational,
     RIGHT,
-    ring_location_generic,
+    ring_location,
     Segment,
     segment_param,
 )
@@ -121,7 +121,6 @@ class CellPartition:
     rays: List[Point]                      # primitive directions, ccw
     cells: List[Cell]
     cone_cells: List[List[int]]            # per cone, cell ids by depth
-    cone_chords: List[List[int]]           # per cone, chord ids by depth
     chord_spans: Dict[int, Tuple[int, int]]  # chord -> (first cone, last cone + 1)
     chord_depths: Dict[int, List[int]]       # chord -> depth per crossed cone
     face_cell_count: Dict[int, int]
@@ -134,9 +133,6 @@ class CellPartition:
                 cell.weight = zero
             else:
                 cell.weight = Fraction(1, self.face_cell_count[cell.face])
-
-    def depth_of(self, chord: int, cone: int) -> int:
-        return self.chord_depths[chord][cone - self.chord_spans[chord][0]]
 
 
 @dataclass
@@ -198,7 +194,7 @@ def _components_on_line(ring: Sequence[Point], origin: Point, direction: Point
     run: Optional[Tuple[Rational, Rational]] = None
     for lo, hi in zip(params, params[1:]):
         mid = point_at(Segment(origin, origin + direction), (lo + hi) / 2)
-        if ring_location_generic(mid, ring) != "exterior":
+        if ring_location(mid, ring) is not Location.EXTERIOR:
             run = (run[0], hi) if run else (lo, hi)
         else:
             if run:
@@ -233,29 +229,6 @@ def clip_and_orient(ring: Sequence[Point], anchor: Point, arr: Arrangement
             else:
                 chords.append(ClippedSegment(ei, pb, pa, lo, hi, False))
     return chords
-
-
-def visibility_extensions(ring: Sequence[Point], anchor: Point,
-                          points: Sequence[Point]) -> List[Segment]:
-    """Maximal in-region segments through the anchor toward given points.
-
-    One segment per distinct direction; opposite directions share a
-    supporting line and merge into a single segment.
-    """
-    seen: Dict[Tuple[Point, Point], Segment] = {}
-    for p in points:
-        if p == anchor:
-            continue
-        d = Point(*primitive_direction(p - anchor))
-        comps = _components_on_line(ring, anchor, d)
-        own = [c for c in comps if c[0] <= 0 <= c[1]]
-        assert own, "direction target must be visible from the anchor"
-        lo, hi = own[0]
-        a = point_at(Segment(anchor, anchor + d), lo)
-        b = point_at(Segment(anchor, anchor + d), hi)
-        key = (min(a, b), max(a, b))
-        seen.setdefault(key, Segment(*key))
-    return [seen[k] for k in sorted(seen)]
 
 
 def _chord_is_radial(chord: ClippedSegment, anchor: Point) -> bool:
@@ -382,7 +355,6 @@ def cell_partition(ring: Sequence[Point], anchor: Point,
 
     cells: List[Cell] = []
     cone_cells: List[List[int]] = [[] for _ in range(ncones)]
-    cone_chords: List[List[int]] = [[] for _ in range(ncones)]
     face_cell_count: Dict[int, int] = {}
     for c in range(ncones):
         layers = sorted(cone_entries[c])
@@ -397,11 +369,10 @@ def cell_partition(ring: Sequence[Point], anchor: Point,
                               t_inner=prev_t, t_outer=t))
             face_cell_count[face] = face_cell_count.get(face, 0) + 1
             cone_cells[c].append(len(cells) - 1)
-            cone_chords[c].append(ci)
             inner, prev_t = (chord.src, chord.dst), t
 
     return CellPartition(anchor=anchor, rays=rays, cells=cells,
-                         cone_cells=cone_cells, cone_chords=cone_chords,
+                         cone_cells=cone_cells,
                          chord_spans=chord_spans, chord_depths=chord_depths,
                          face_cell_count=face_cell_count, ray_index=ray_index)
 
@@ -566,28 +537,15 @@ def _ring_area_positive(ring: Sequence[Point]) -> bool:
 
 
 def build_anchor_dags(poly: PolygonWithHoles, arr: Arrangement,
-                      with_partition: bool = True, threads: int = 1
-                      ) -> List[PeelDag]:
+                      with_partition: bool = True) -> List[PeelDag]:
     """One graph per convex vertex, one per piece of each reflex vertex."""
-    verts = poly.vertex_list()
-
-    def build_one(vi: int) -> List[PeelDag]:
-        v = verts[vi]
+    dags: List[PeelDag] = []
+    for vi, v in enumerate(poly.vertices()):
         vp = visibility_polygon(poly, v)
-        if poly.is_reflex(v):
-            rings = _split_star(vp, poly)
-        else:
-            rings = [vp.ring]
-        return [build_dag(vi, tag, v, ring, arr, with_partition)
-                for tag, ring in enumerate(rings)]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            groups = list(ex.map(build_one, range(len(verts))))
-    else:
-        groups = [build_one(vi) for vi in range(len(verts))]
-    return [dag for group in groups for dag in group]
+        rings = _split_star(vp, poly) if poly.is_reflex(v) else [vp.ring]
+        dags.extend(build_dag(vi, tag, v, ring, arr, with_partition)
+                    for tag, ring in enumerate(rings))
+    return dags
 
 
 @dataclass(frozen=True)
@@ -595,7 +553,6 @@ class GreedyChoice:
     value: Fraction
     vertex_index: int
     polygons: Tuple["ConvexPolygon", ...]
-    paths: Tuple[Tuple[int, ...], ...]
 
 
 def best_restricted(arr: Arrangement, dags: Sequence[PeelDag]) -> Optional[GreedyChoice]:
@@ -618,14 +575,10 @@ def best_restricted(arr: Arrangement, dags: Sequence[PeelDag]) -> Optional[Greed
     for vi in sorted(per_vertex):
         entries = per_vertex[vi]
         value = sum((w for w, _, _ in entries), Fraction(0))
-        polys, paths = [], []
-        for w, dag, path in entries:
-            if w > 0:
-                polys.append(path_polygon(dag, path))
-                paths.append(tuple(path))
+        polys = tuple(path_polygon(dag, path) for w, dag, path in entries if w > 0)
         if not polys:
             continue
-        cand = GreedyChoice(value, vi, tuple(polys), tuple(paths))
+        cand = GreedyChoice(value, vi, polys)
         if best is None or (cand.value, -len(cand.polygons), -cand.vertex_index) > \
                 (best.value, -len(best.polygons), -best.vertex_index):
             best = cand

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .arrangement import build_arrangement
 from .errors import InvalidPolygonError, PreconditionViolation
@@ -96,8 +96,7 @@ class PeelSolution:
 
 
 def rotten_potato_peel(poly: PolygonWithHoles,
-                       rotten: "RottenSet | Sequence[Sequence[Point]]",
-                       threads: int = 1) -> PeelSolution:
+                       rotten: "RottenSet | Sequence[Sequence[Point]]") -> PeelSolution:
     """Best good-area convex region anchored at some polygon vertex.
 
     Accepts a prebuilt RottenSet or raw rotten rings. Node weights are
@@ -109,7 +108,7 @@ def rotten_potato_peel(poly: PolygonWithHoles,
     if not isinstance(rotten, RottenSet):
         rotten = RottenSet.build(poly, rotten)
     arr = build_arrangement(poly)
-    dags = build_anchor_dags(poly, arr, with_partition=False, threads=threads)
+    dags = build_anchor_dags(poly, arr, with_partition=False)
 
     best_value = Fraction(0)
     best_dag = None

@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .exact_geom import (
     ccw_compare_from,
     COLLINEAR,
-    LEFT,
     line_intersection,
-    on_segment,
     orientation,
     Point,
     PolygonWithHoles,
@@ -32,13 +30,10 @@ from .exact_geom import (
 class VisibilityPolygon:
     """Star-shaped region visible from a boundary vertex.
 
-    ring starts at the anchor and runs counterclockwise; window_edges
-    are indices of ring edges that do not lie inside any polygon edge
-    (each such edge is collinear with the anchor).
+    ring starts at the anchor and runs counterclockwise.
     """
     anchor: Point
     ring: Tuple[Point, ...]
-    window_edges: Tuple[int, ...]
 
 
 def _interior_cone(poly: PolygonWithHoles, v: Point) -> Tuple[Point, Point]:
@@ -119,11 +114,4 @@ def visibility_polygon(poly: PolygonWithHoles, v: Point) -> VisibilityPolygon:
     # the seam between the last and first fan points needs a second look
     while len(ring) >= 3 and orientation(ring[-2], ring[-1], ring[0]) == COLLINEAR:
         ring.pop()
-
-    windows = []
-    for i in range(len(ring)):
-        p, q = ring[i], ring[(i + 1) % len(ring)]
-        inside_an_edge = any(on_segment(p, e) and on_segment(q, e) for e in edges)
-        if not inside_an_edge:
-            windows.append(i)
-    return VisibilityPolygon(anchor=v, ring=tuple(ring), window_edges=tuple(windows))
+    return VisibilityPolygon(anchor=v, ring=tuple(ring))

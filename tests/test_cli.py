@@ -67,11 +67,6 @@ class TestCover:
         assert data["algorithm"] == "triangulation"
         assert data["metadata"] == {"faces": 48, "iterations": 1, "pieces": 8}
 
-    def test_threads_flag_changes_nothing(self, capsys, holed_file):
-        _, one, _ = run(capsys, ["cover", holed_file, "--threads", "1"])
-        _, four, _ = run(capsys, ["cover", holed_file, "--threads", "4"])
-        assert one == four
-
 
 class TestPeel:
     def test_no_rot_takes_everything(self, capsys, square_file, files):
@@ -210,6 +205,33 @@ class TestErrors:
         code, _, err = run(capsys, ["cover", bowtie])
         assert code == 2
         assert "error:" in err
+
+    def test_holes_not_a_list(self, capsys, files):
+        path = files("h5.json", {"outer": [[0, 0], [4, 0], [4, 4], [0, 4]], "holes": 5})
+        code, _, err = run(capsys, ["cover", path])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_regions_not_a_list(self, capsys, square_file, files):
+        rotten = files("r3.json", {"regions": 3})
+        code, _, err = run(capsys, ["peel", square_file, rotten])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("meta", [{"value": "abc", "regions": []},
+                                      {"value": 16, "regions": 3}])
+    def test_malformed_peel_metadata(self, capsys, square_file, files, meta):
+        sol = files("peel.json", {"instance": "sq", "algorithm": "rotten-peel",
+                                  "polygons": [[[0, 0], [4, 0], [4, 4], [0, 4]]],
+                                  "metadata": meta})
+        code, _, err = run(capsys, ["verify", square_file, sol])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_directory_as_instance(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["cover", str(tmp_path)])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_usage_errors(self, capsys):
         assert run(capsys, [])[0] == 2

@@ -68,14 +68,6 @@ def test_cover_respects_log_bound_on_fixtures(square4, triangle, lshape,
         assert len(sol.pieces) <= n + 2 * h - 2
 
 
-def test_threads_flag_changes_nothing(lshape, holed_square):
-    for poly in (lshape, holed_square):
-        a = greedy_cover(poly)
-        b = greedy_cover(poly, threads=3)
-        assert [p.ring for p in a.pieces] == [p.ring for p in b.pieces]
-        assert a.gains == b.gains
-
-
 def test_triangulate_counts(triangle, lshape, holed_square):
     assert len(triangulate(triangle)) == 1
     assert len(triangulate(lshape)) == 4

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from functools import cmp_to_key
+
 import pytest
 
 from convexcover.errors import InvalidPolygonError
@@ -15,7 +17,6 @@ from convexcover.exact_geom import (
     Point,
     PolygonWithHoles,
     Segment,
-    angle_within,
     ccw_compare_from,
     clip_convex,
     convex_hull,
@@ -26,16 +27,14 @@ from convexcover.exact_geom import (
     point_at,
     point_in_convex,
     point_location,
-    point_strictly_in_convex,
     primitive_direction,
     pt,
     rat,
     ring_area,
-    ring_location_generic,
+    ring_location,
     segment_in_polygon,
     segment_intersection,
     segment_param,
-    sort_directions_ccw,
 )
 
 
@@ -138,14 +137,16 @@ def test_primitive_direction():
 def test_ccw_direction_sort_starts_at_base():
     base = pt(1, 0)
     dirs = [pt(0, -1), pt(-1, 0), pt(1, 1), pt(1, 0), pt(0, 1)]
-    assert sort_directions_ccw(base, dirs) == [
+    assert sorted(dirs, key=cmp_to_key(ccw_compare_from(base))) == [
         pt(1, 0), pt(1, 1), pt(0, 1), pt(-1, 0), pt(0, -1)]
 
 
 def test_angle_within_closed_cone():
-    assert angle_within(pt(1, 0), pt(0, 1), pt(1, 1))
-    assert angle_within(pt(1, 0), pt(0, 1), pt(0, 1))
-    assert not angle_within(pt(1, 0), pt(0, 1), pt(-1, 1))
+    # d lies in the closed ccw cone from base to limit iff cmp(d, limit) <= 0
+    within = ccw_compare_from(pt(1, 0))
+    assert within(pt(1, 1), pt(0, 1)) <= 0
+    assert within(pt(0, 1), pt(0, 1)) <= 0
+    assert not within(pt(-1, 1), pt(0, 1)) <= 0
 
 
 def test_ccw_compare_is_a_total_order_on_distinct_directions():
@@ -205,8 +206,6 @@ def test_point_in_convex_closed_vs_strict():
     tri = (pt(0, 0), pt(4, 0), pt(0, 4))
     assert point_in_convex(pt(1, 1), tri)
     assert point_in_convex(pt(2, 0), tri)
-    assert not point_strictly_in_convex(pt(2, 0), tri)
-    assert point_strictly_in_convex(pt(1, 1), tri)
     assert not point_in_convex(pt(3, 3), tri)
 
 
@@ -270,11 +269,11 @@ def test_segment_in_polygon(lshape, holed_square):
     assert segment_in_polygon(Segment(pt(0, 1), pt(4, 1)), holed_square)
 
 
-def test_ring_location_generic_handles_collinear_runs():
+def test_ring_location_handles_collinear_runs():
     ring = (pt(0, 0), pt(1, 0), pt(2, 0), pt(2, 2), pt(0, 2))
-    assert ring_location_generic(pt(1, 0), ring) == "boundary"
-    assert ring_location_generic(pt(1, 1), ring) == "interior"
-    assert ring_location_generic(pt(3, 1), ring) == "exterior"
+    assert ring_location(pt(1, 0), ring) is Location.BOUNDARY
+    assert ring_location(pt(1, 1), ring) is Location.INTERIOR
+    assert ring_location(pt(3, 1), ring) is Location.EXTERIOR
 
 
 def test_convex_polygon_canonical_form_and_queries():
@@ -282,7 +281,6 @@ def test_convex_polygon_canonical_form_and_queries():
     assert poly.ring == (pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4))
     assert poly.area() == 16
     assert poly.contains(pt(4, 2))
-    assert not poly.contains_strictly(pt(4, 2))
     assert poly == ConvexPolygon(poly.ring)
     with pytest.raises(InvalidPolygonError):
         ConvexPolygon([pt(0, 0), pt(2, 0), pt(2, 2), pt(1, 1), pt(0, 2)])

@@ -1,0 +1,70 @@
+"""Source hygiene checked with the standard library alone.
+
+No linter is a dependency, so the two checks a linter would make on the
+package are made here with `ast`: every imported name is used, and the
+public surface lists only names that resolve to package objects.
+"""
+
+import ast
+import types
+from pathlib import Path
+
+import convexcover
+
+PACKAGE = Path(convexcover.__file__).resolve().parent
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _annotation_strings(tree: ast.Module):
+    """String annotations such as "ConvexPolygon" name their types too."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [a.annotation for a in ast.walk(node.args)
+                           if isinstance(a, ast.arg)] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for ann in annotations:
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield ast.parse(sub.value, mode="eval")
+
+
+def _used_names(tree: ast.Module):
+    used = set()
+    for root in [tree, *_annotation_strings(tree)]:
+        used.update(n.id for n in ast.walk(root) if isinstance(n, ast.Name))
+    for node in ast.walk(tree):
+        # re-exports: names listed in __all__ are used by the package's users
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return used
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        unused += [f"{path.name}: {name}" for name in _imported_names(tree)
+                   if name not in used]
+    assert unused == []
+
+
+def test_public_names_resolve_to_objects():
+    assert len(set(convexcover.__all__)) == len(convexcover.__all__)
+    for name in convexcover.__all__:
+        assert hasattr(convexcover, name), name
+        assert not isinstance(getattr(convexcover, name), types.ModuleType), name

@@ -21,7 +21,6 @@ from convexcover.peel_dag import (
     path_polygon,
     reflex_split,
     sst_weights,
-    visibility_extensions,
 )
 from convexcover.visibility import visibility_polygon
 
@@ -133,28 +132,6 @@ def test_cells_partition_visibility_area_on_corpus(corpus_sample):
         for d in build_anchor_dags(poly, arr):
             total = sum(ring_area(c.ring) for c in d.partition.cells)
             assert total == ring_area(d.ring), (name, d.vertex_index)
-
-
-def test_triangle_visibility_extensions_one_per_direction(triangle):
-    arr = build_arrangement(triangle)
-    vp = visibility_polygon(triangle, pt(0, 0))
-    B = visibility_extensions(vp.ring, pt(0, 0), arr.vertices)
-    # both other corners lie in edge directions, so two distinct lines
-    assert [(s.a, s.b) for s in B] == [
-        (pt(0, 0), pt(0, 4)),
-        (pt(0, 0), pt(4, 0)),
-    ]
-
-
-def test_square_visibility_extensions(square4):
-    arr = build_arrangement(square4)
-    vp = visibility_polygon(square4, pt(0, 0))
-    B = visibility_extensions(vp.ring, pt(0, 0), arr.vertices)
-    assert [(s.a, s.b) for s in B] == [
-        (pt(0, 0), pt(0, 4)),
-        (pt(0, 0), pt(4, 0)),
-        (pt(0, 0), pt(4, 4)),
-    ]
 
 
 def test_path_polygon_rejects_radial_only_path(square4):

@@ -93,13 +93,6 @@ def test_peel_value_equals_independent_recomputation(square4, holed_square):
         assert sol.value == rs.good_area_of(sol.polygon.ring)
 
 
-def test_peel_threads_flag_changes_nothing(square4):
-    a = rotten_potato_peel(square4, DIAMOND)
-    b = rotten_potato_peel(square4, DIAMOND, threads=4)
-    assert (a.value, a.vertex_index, a.polygon.ring) == \
-        (b.value, b.vertex_index, b.polygon.ring)
-
-
 def test_quarter_bound_against_samples(square4, holed_square):
     cases = [
         (square4, DIAMOND, 11),
