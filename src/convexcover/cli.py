@@ -223,6 +223,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -76,6 +76,13 @@ def pt(x, y) -> Point:
     return Point(rat(x), rat(y))
 
 
+def _homog(p: Point) -> Tuple[int, int, int]:
+    """Integer homogeneous coordinates (x*w, y*w, w) with w > 0."""
+    xd, yd = p.x.denominator, p.y.denominator
+    w = xd * yd // math.gcd(xd, yd)
+    return p.x.numerator * (w // xd), p.y.numerator * (w // yd), w
+
+
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the turn p->q->r: LEFT, COLLINEAR or RIGHT."""
     v = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)

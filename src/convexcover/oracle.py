@@ -7,7 +7,6 @@ algorithms are validated against these on small instances.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +15,7 @@ from typing import List, Sequence, Set, Tuple
 from .arrangement import Arrangement
 from .errors import CapExceeded
 from .exact_geom import (
+    _homog,
     COLLINEAR,
     convex_hull,
     ConvexPolygon,
@@ -59,13 +59,6 @@ def enumerate_maximal_paths(dag: PeelDag, node_cap: int = 200,
     finally:
         sys.setrecursionlimit(old)
     return paths
-
-
-def _homog(p: Point) -> Tuple[int, int, int]:
-    """Integer homogeneous coordinates (x*w, y*w, w) with w > 0."""
-    xd, yd = p.x.denominator, p.y.denominator
-    w = xd * yd // math.gcd(xd, yd)
-    return p.x.numerator * (w // xd), p.y.numerator * (w // yd), w
 
 
 def _rep_triples(partition: CellPartition) -> List[Tuple[int, int, int]]:

@@ -424,12 +424,10 @@ def sst_weights(dag: PeelDag) -> None:
 
 
 def assign_area_weights(dag: PeelDag, good_area) -> None:
-    """Node weight = good_area(triangle(anchor, src, dst)); 0 if flat."""
+    """Node weight = good_area(triangle(anchor, src, dst)); good_area
+    must give 0 for a flat triangle."""
     for nd in dag.nodes:
-        if orientation(dag.anchor, nd.src, nd.dst) == COLLINEAR:
-            nd.weight = Fraction(0)
-        else:
-            nd.weight = good_area((dag.anchor, nd.src, nd.dst))
+        nd.weight = good_area((dag.anchor, nd.src, nd.dst))
 
 
 def heaviest_maximal_path(dag: PeelDag) -> Tuple[List[int], Fraction]:

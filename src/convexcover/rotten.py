@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .arrangement import build_arrangement
 from .errors import InvalidPolygonError, PreconditionViolation
 from .exact_geom import (
+    _homog,
+    _parity_inside,
     clip_convex,
     ConvexPolygon,
     Point,
@@ -18,16 +21,75 @@ from .exact_geom import (
 )
 from .peel_dag import assign_area_weights, build_anchor_dags, heaviest_maximal_path, path_polygon
 
+Homog = Tuple[int, int, int]
+
+
+def _line_through(a: Homog, b: Homog) -> Homog:
+    """Homogeneous line through a and b, reduced by its gcd.
+
+    With positive third components, line . c has the sign of
+    orientation(a, b, c): positive left of a->b, zero on the line.
+    """
+    ax, ay, aw = a
+    bx, by, bw = b
+    line = (ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
+    g = math.gcd(*line)
+    return (line[0] // g, line[1] // g, line[2] // g)
+
+
+def _clip_to_lines(poly: List[Homog], lines: Tuple[Homog, ...]) -> List[Homog]:
+    """Sutherland-Hodgman of a convex ring against the left sides of
+    lines, in integers; empty when the overlap has no area."""
+    for a, b, c in lines:
+        sides = [a * x + b * y + c * w for x, y, w in poly]
+        if max(sides) <= 0:
+            return []
+        if min(sides) >= 0:
+            continue
+        out = []
+        m = len(poly)
+        for j in range(m):
+            p, sp = poly[j], sides[j]
+            q, sq = poly[(j + 1) % m], sides[(j + 1) % m]
+            if sp >= 0:
+                out.append(p)
+                if sq < 0:
+                    # the crossing sp*q - sq*p lies on the line, w > 0
+                    out.append((sp * q[0] - sq * p[0], sp * q[1] - sq * p[1],
+                                sp * q[2] - sq * p[2]))
+            elif sq >= 0:
+                out.append((sq * p[0] - sp * q[0], sq * p[1] - sp * q[1],
+                            sq * p[2] - sp * q[2]))
+        poly = out
+    return poly
+
+
+def _twice_area(poly: List[Homog]) -> Tuple[int, int]:
+    """Twice the signed area of a ring as (numerator, denominator):
+    a fan of 3x3 determinants over the products of the w's."""
+    x0, y0, w0 = poly[0]
+    num, den = 0, 1
+    for i in range(1, len(poly) - 1):
+        x1, y1, w1 = poly[i]
+        x2, y2, w2 = poly[i + 1]
+        det = (x0 * (y1 * w2 - w1 * y2) - y0 * (x1 * w2 - w1 * x2)
+               + w0 * (x1 * y2 - y1 * x2))
+        d = w1 * w2
+        num, den = num * d + det * den, den * d
+    return num, den * w0
+
 
 @dataclass(frozen=True)
 class RottenSet:
     """Pairwise interior-disjoint simple regions inside the polygon.
 
     Regions are stored as counterclockwise rings; triangles is a
-    triangulation of their union used for exact area clipping.
+    triangulation of their union used for exact area clipping, and
+    lines holds the homogeneous integer lines of each triangle's edges.
     """
     regions: Tuple[Tuple[Point, ...], ...]
     triangles: Tuple[Tuple[Point, ...], ...]
+    lines: Tuple[Tuple[Homog, ...], ...] = field(repr=False, compare=False)
 
     @staticmethod
     def build(poly: PolygonWithHoles, regions: Sequence[Sequence[Point]]) -> "RottenSet":
@@ -45,7 +107,6 @@ class RottenSet:
                     raise PreconditionViolation(
                         f"rotten region {k} leaves the polygon")
             for hole in poly.holes:
-                from .exact_geom import _parity_inside
                 if any(_parity_inside(hv, ring) for hv in hole):
                     raise PreconditionViolation(
                         f"rotten region {k} covers a hole of the polygon")
@@ -64,17 +125,27 @@ class RottenSet:
                 if clip_convex(tris[i], tris[j]) is not None:
                     raise PreconditionViolation(
                         f"rotten regions {tri_owner[i]} and {tri_owner[j]} overlap")
-        return RottenSet(tuple(rings), tuple(tris))
+        lines = []
+        for tri in tris:
+            a, b, c = (_homog(p) for p in tri)
+            lines.append((_line_through(a, b), _line_through(b, c), _line_through(c, a)))
+        return RottenSet(tuple(rings), tuple(tris), tuple(lines))
 
     def good_area_of(self, convex_ring: Sequence[Point]) -> Fraction:
-        """Area of the convex ring minus its rotten overlap, exactly."""
-        ring = tuple(convex_ring)
-        total = ring_area(ring)
-        for tri in self.triangles:
-            overlap = clip_convex(ring, tri)
-            if overlap is not None:
-                total -= ring_area(overlap)
-        return total
+        """Area of the convex CCW ring minus its rotten overlap, exactly.
+
+        Clips in integer homogeneous coordinates; the result is the same
+        Fraction as subtracting ring_area(clip_convex(ring, t)) for each
+        rotten triangle t.
+        """
+        ring = [_homog(p) for p in convex_ring]
+        num, den = _twice_area(ring)
+        for tri_lines in self.lines:
+            overlap = _clip_to_lines(ring, tri_lines)
+            if overlap:
+                n, d = _twice_area(overlap)
+                num, den = num * d - n * den, den * d
+        return Fraction(num, 2 * den)
 
 
 def good_area_of_triangle(corners: Tuple[Point, Point, Point],

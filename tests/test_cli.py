@@ -193,6 +193,13 @@ class TestErrors:
         assert code == 2
         assert "invalid JSON" in err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, ["stats", str(path)])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_float_coordinates(self, capsys, tmp_path):
         path = tmp_path / "floats.json"
         path.write_text('{"outer": [[0, 0], [4, 0], [4, 4.5], [0, 4]]}')

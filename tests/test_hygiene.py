@@ -1,8 +1,9 @@
 """Source hygiene checked with the standard library alone.
 
-No linter is a dependency, so the two checks a linter would make on the
-package are made here with `ast`: every imported name is used, and the
-public surface lists only names that resolve to package objects.
+No linter is a dependency, so the checks a linter would make on the
+package are made here with `ast`: every imported name is used, the
+public surface lists only names that resolve to package objects, and
+no floating point enters the exact geometry.
 """
 
 import ast
@@ -61,6 +62,22 @@ def test_every_import_is_used():
         unused += [f"{path.name}: {name}" for name in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+def test_no_floats_outside_rendering():
+    # SVG output is the one place that may round; every predicate and
+    # construction elsewhere stays in ints and Fractions
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "render.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{path.name}:{node.lineno}: float(...)")
+    assert found == []
 
 
 def test_public_names_resolve_to_objects():

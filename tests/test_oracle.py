@@ -7,6 +7,7 @@ import pytest
 from convexcover import PolygonWithHoles, build_arrangement, pt
 from convexcover.errors import CapExceeded
 from convexcover.exact_geom import (
+    _homog,
     COLLINEAR,
     Segment,
     clip_convex,
@@ -15,7 +16,6 @@ from convexcover.exact_geom import (
     segment_in_polygon,
 )
 from convexcover.oracle import (
-    _homog,
     candidate_family,
     enumerate_maximal_paths,
     exact_min_restricted_cover,
