@@ -11,7 +11,8 @@ within a factor of four.
 from .arrangement import (Arrangement, DiagonalExtension, Face, build_arrangement,
                           diagonal_extensions)
 from .cover import CoverSolution, VerificationReport, greedy_cover, triangulate, verify_cover
-from .errors import CycleDetected, InvalidPolygonError, NonConvexClosure, PreconditionViolation
+from .errors import (CycleDetected, InvalidPolygonError, InvariantViolation, NonConvexClosure,
+                     PreconditionViolation)
 from .exact_geom import ConvexPolygon, Point, PolygonWithHoles, pt
 from .peel_dag import PeelDag, build_anchor_dags, heaviest_maximal_path, sst_weights
 from .rotten import PeelSolution, RottenSet, rotten_potato_peel
@@ -48,4 +49,5 @@ __all__ = [
     "PreconditionViolation",
     "CycleDetected",
     "NonConvexClosure",
+    "InvariantViolation",
 ]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import PreconditionViolation
+from .errors import InvariantViolation, PreconditionViolation
 from .exact_geom import (
     ccw_compare_from,
     COLLINEAR,
@@ -194,7 +194,7 @@ def build_arrangement(poly: PolygonWithHoles,
             if x is None:
                 continue
             if isinstance(x, Segment):
-                raise AssertionError("distinct extensions overlap; merging failed")
+                raise InvariantViolation("distinct extensions overlap; merging failed")
             per_ext_params[i][segment_param(x, segs[i])] = x
             per_ext_params[j][segment_param(x, segs[j])] = x
 

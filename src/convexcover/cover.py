@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .arrangement import Arrangement, build_arrangement, mark_covered
-from .errors import InvalidPolygonError
+from .errors import InvalidPolygonError, InvariantViolation
 from .exact_geom import (
     clip_convex,
     ConvexPolygon,
@@ -46,8 +46,10 @@ def greedy_cover(poly: PolygonWithHoles, max_iters: Optional[int] = None) -> Cov
     """Cover the polygon with restricted convex polygons, best gain first.
 
     Each round takes the anchored polygon (or reflex pair) covering the
-    most yet-uncovered arrangement faces, weighted fractionally through
-    the anchor partitions. If the round budget (vertex count by default)
+    most yet-uncovered arrangement faces. Faces are counted in integers:
+    each face weighs 1 on one designated cell of each anchor partition,
+    and a node's weight is the bit count of its face mask ANDed with
+    the mask of uncovered faces. If the round budget (vertex count by default)
     runs out before every face is covered, the triangulation fallback
     replaces the partial cover.
     """
@@ -158,7 +160,8 @@ def triangulate(poly: PolygonWithHoles) -> List[ConvexPolygon]:
             raise InvalidPolygonError("no ear found; boundary may be invalid")
     triangles.append(ConvexPolygon(tuple(work)))
     expected = poly.vertex_count() + 2 * poly.hole_count() - 2
-    assert len(triangles) == expected, "triangle count disagrees with Euler count"
+    if len(triangles) != expected:
+        raise InvariantViolation("triangle count disagrees with Euler count")
     return triangles
 
 

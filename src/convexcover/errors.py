@@ -19,3 +19,7 @@ class NonConvexClosure(Exception):
 
 class CapExceeded(Exception):
     """An oracle hit its hard size cap."""
+
+
+class InvariantViolation(Exception):
+    """An internal invariant failed: the program is at fault, not its input."""

@@ -188,20 +188,26 @@ def primitive_direction(d: Point) -> tuple:
 
 
 def ccw_compare_from(base: Point):
-    """Comparator ordering directions by CCW angle from base, in [0, 360)."""
+    """Comparator ordering directions by CCW angle from base, in [0, 360).
+
+    Directions are indexed pairs (dx, dy): Points, or the int tuples of
+    primitive_direction, which keep the arithmetic in ints.
+    """
+    bx, by = base
+
     def half(d: Point) -> int:
-        c = base.cross(d)
+        c = bx * d[1] - by * d[0]
         if c > 0:
             return 0
         if c < 0:
             return 1
-        return 0 if base.dot(d) > 0 else 1
+        return 0 if bx * d[0] + by * d[1] > 0 else 1
 
     def cmp(d1: Point, d2: Point) -> int:
         h1, h2 = half(d1), half(d2)
         if h1 != h2:
             return -1 if h1 < h2 else 1
-        c = d1.cross(d2)
+        c = d1[0] * d2[1] - d1[1] * d2[0]
         if c > 0:
             return -1
         if c < 0:

@@ -10,15 +10,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .arrangement import Arrangement
-from .errors import CapExceeded
+from .errors import CapExceeded, InvariantViolation
 from .exact_geom import (
     _homog,
     COLLINEAR,
     convex_hull,
     ConvexPolygon,
+    line_intersection,
     Location,
     orientation,
     Point,
@@ -61,17 +62,97 @@ def enumerate_maximal_paths(dag: PeelDag, node_cap: int = 200,
     return paths
 
 
+class PartitionCell:
+    """One strip of a cell partition, rebuilt from the partition's arrays.
+
+    The strip lies in the cone between rays d1 and d2 at the apex, above
+    its inner chord (the apex when there is none) and below its outer
+    chord; t_inner and t_outer are where those chords cross the mid-ray
+    apex + t*(d1 + d2).
+    """
+
+    def __init__(self, face: int, designated: bool, apex: Point,
+                 rays: Tuple[Point, Point], outer: Tuple[Point, Point],
+                 inner: Optional[Tuple[Point, Point]],
+                 t_inner: Fraction, t_outer: Fraction):
+        self.face = face
+        self.designated = designated
+        self.apex = apex
+        self.rays = rays
+        self.outer = outer
+        self.inner = inner
+        d1, d2 = rays
+        self.rep = apex + (d1 + d2).scaled((t_inner + t_outer) / 2)
+
+    @property
+    def ring(self) -> Tuple[Point, ...]:
+        corners = [self.apex] if self.inner is None else []
+        for chord, rays in ((self.inner, self.rays[::-1]), (self.outer, self.rays)):
+            if chord is None:
+                continue
+            a, b = chord
+            for d in rays:
+                x = line_intersection(self.apex, d, a, b - a)
+                if x is None:
+                    raise InvariantViolation("cell ray is parallel to its chord")
+                corners.append(x)
+        return tuple(p for i, p in enumerate(corners) if p != corners[i - 1])
+
+
+def partition_cells(partition: CellPartition) -> List[PartitionCell]:
+    """The partition's cells in its own order, with their geometry.
+
+    Rebuilt from the integer arrays and the chords: the depth order
+    gives each cell its chord and inner neighbour, the mid-ray
+    parameters are recomputed in Fractions, and a face's designated cell
+    is its first cell. Cached on the partition, whose cells never change.
+    """
+    cache = getattr(partition, "_oracle_cells", None)
+    if cache is not None:
+        return cache
+    anchor = partition.anchor
+    chord_of: List[int] = [-1] * len(partition.cells)
+    for ci, (first, last) in enumerate(partition.chord_spans):
+        for c, depth in zip(range(first, last), partition.chord_depths[ci]):
+            chord_of[partition.cone_start[c] + depth] = ci
+    rays = [Point(Fraction(dx), Fraction(dy)) for dx, dy in partition.rays]
+    seen: Set[int] = set()
+    cells: List[PartitionCell] = []
+    for c in range(len(rays) - 1):
+        pair = (rays[c], rays[c + 1])
+        dmid = pair[0] + pair[1]
+        inner: Optional[Tuple[Point, Point]] = None
+        t_inner = Fraction(0)
+        for k in range(partition.cone_start[c], partition.cone_start[c + 1]):
+            chord = partition.chords[chord_of[k]]
+            cd = chord.dst - chord.src
+            t_outer = (chord.src - anchor).cross(cd) / dmid.cross(cd)
+            face = partition.cells[k]
+            cells.append(PartitionCell(face, face not in seen, anchor, pair,
+                                       (chord.src, chord.dst), inner, t_inner, t_outer))
+            seen.add(face)
+            inner, t_inner = (chord.src, chord.dst), t_outer
+    partition._oracle_cells = cells
+    return cells
+
+
+def cell_weights(partition: CellPartition) -> List[int]:
+    """Weight of each cell: 1 on the designated cell of an uncovered face."""
+    return [1 if cell.designated and partition.uncovered >> cell.face & 1 else 0
+            for cell in partition_cells(partition)]
+
+
 def _rep_triples(partition: CellPartition) -> List[Tuple[int, int, int]]:
     # cached on the partition; cell geometry never changes
     cache = getattr(partition, "_oracle_rep_triples", None)
     if cache is None:
-        cache = [_homog(cell.rep) for cell in partition.cells]
+        cache = [_homog(cell.rep) for cell in partition_cells(partition)]
         partition._oracle_rep_triples = cache
     return cache
 
 
 def naive_sst_weight(v: Point, s: "DirectedSubsegment",
-                     partition: CellPartition) -> Fraction:
+                     partition: CellPartition) -> int:
     """Sum of weights of cells whose representative the SST contains.
 
     Containment per cell is the closed point-in-triangle test, evaluated
@@ -79,17 +160,17 @@ def naive_sst_weight(v: Point, s: "DirectedSubsegment",
     the sign of det(a, b, c) equals orientation(a, b, c), exactly.
     """
     if orientation(v, s.src, s.dst) == COLLINEAR:
-        return Fraction(0)
+        return 0
     corners = [_homog(v), _homog(s.src), _homog(s.dst)]
     coefs = []
     for k in range(3):
         ax, ay, aw = corners[k]
         bx, by, bw = corners[(k + 1) % 3]
         coefs.append((ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx))
-    total = Fraction(0)
-    for cell, (cx, cy, cw) in zip(partition.cells, _rep_triples(partition)):
+    total = 0
+    for weight, (cx, cy, cw) in zip(cell_weights(partition), _rep_triples(partition)):
         if all(a * cx + b * cy + c * cw >= 0 for a, b, c in coefs):
-            total += cell.weight
+            total += weight
     return total
 
 
@@ -100,16 +181,16 @@ def _sweeps_nothing(dag: PeelDag, path: Sequence[int]) -> bool:
                == COLLINEAR for i in path)
 
 
-def naive_path_weight(dag: PeelDag, path: Sequence[int]) -> Fraction:
+def naive_path_weight(dag: PeelDag, path: Sequence[int]) -> int:
     """Face weight of a path polygon counted cell by cell."""
     part = dag.partition
     if _sweeps_nothing(dag, path):
-        return Fraction(0)
+        return 0
     poly = path_polygon(dag, path)
-    total = Fraction(0)
-    for cell in part.cells:
+    total = 0
+    for cell, weight in zip(partition_cells(part), cell_weights(part)):
         if poly.contains(cell.rep):
-            total += cell.weight
+            total += weight
     return total
 
 

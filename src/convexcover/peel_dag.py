@@ -7,25 +7,27 @@ A node weight is the weight of the triangle (v, node); maximal paths
 correspond exactly to restricted convex polygons containing v, and the
 heaviest one is found by dynamic programming.
 
-Weights come in two flavours: face counting for cover iterations (each
-arrangement face spreads its weight uniformly over the cells it
-contributes to the partition around v) and plain good area for peeling
-around rotten regions.
+Weights come in two flavours: face counting for cover iterations and
+plain good area for peeling around rotten regions. Face counting is in
+integers: the partition around v gives each arrangement face one
+designated cell, which weighs 1 while the face is uncovered (every other
+cell weighs 0), and each node keeps a bitmask of the designated cells it
+sweeps, so its weight is one masked bit count per round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arrangement import Arrangement
-from .errors import CycleDetected, NonConvexClosure, PreconditionViolation
+from .errors import CycleDetected, InvariantViolation, NonConvexClosure, PreconditionViolation
 from .exact_geom import (
     ccw_compare_from,
     COLLINEAR,
-    line_intersection,
     Location,
     on_segment,
     orientation,
@@ -60,79 +62,49 @@ class ClippedSegment:
 
 @dataclass
 class DirectedSubsegment:
-    """Graph node: the piece of a chord between adjacent V_D points."""
+    """Graph node: the piece of a chord between adjacent V_D points.
+
+    The weight is an int face count for cover rounds and a Fraction good
+    area for the peel.
+    """
     index: int
     chord: int
     src: Point
     dst: Point
-    weight: Fraction = Fraction(0)
-
-
-@dataclass(slots=True)
-class Cell:
-    """Strip of the partition around the anchor.
-
-    Only face and weight sit on the hot path; the ring and the interior
-    representative are assembled on demand from the bounding rays,
-    chords and mid-ray parameters.
-    """
-    face: int
-    weight: Fraction
-    apex: Point
-    ray_pair: Tuple[Point, Point]          # cone directions d1, d2
-    outer_chord: Tuple[Point, Point]       # chord bounding the strip outside
-    inner_chord: Optional[Tuple[Point, Point]]
-    t_inner: Fraction                      # mid-ray parameter range
-    t_outer: Fraction
-    _rep: Optional[Point] = None
-
-    @property
-    def rep(self) -> Point:
-        if self._rep is None:
-            d1, d2 = self.ray_pair
-            mid = (self.t_inner + self.t_outer) / 2
-            self._rep = self.apex + (d1 + d2).scaled(mid)
-        return self._rep
-
-    @property
-    def ring(self) -> Tuple[Point, ...]:
-        d1, d2 = self.ray_pair
-        oa, ob = self.outer_chord
-        od = ob - oa
-        a = line_intersection(self.apex, d1, oa, od)
-        b = line_intersection(self.apex, d2, oa, od)
-        assert a is not None and b is not None
-        if self.inner_chord is None:
-            corners = [self.apex, a, b]
-        else:
-            ia, ib = self.inner_chord
-            idd = ib - ia
-            pa = line_intersection(self.apex, d1, ia, idd)
-            pb = line_intersection(self.apex, d2, ia, idd)
-            assert pa is not None and pb is not None
-            corners = [pa, a, b, pb]
-        return tuple(p for i, p in enumerate(corners) if p != corners[i - 1])
+    weight: int | Fraction = 0
 
 
 @dataclass
 class CellPartition:
-    """Cells around one anchor, organised by angular cone and depth."""
+    """Cells around one anchor as integer arrays, and one face mask per node.
+
+    Consecutive rays (primitive integer directions, counterclockwise)
+    bound the cones. The chords crossing a cone are nested, and the
+    strips between them are its cells. cells holds each cell's face id,
+    cone by cone and from the anchor outwards: cone c owns
+    cells[cone_start[c]:cone_start[c + 1]]. Chord ci crosses cones
+    chord_spans[ci][0] up to chord_spans[ci][1] - 1, and
+    chord_depths[ci] holds its depth in each of them; a radial chord
+    crosses none and has span (0, 0).
+
+    The first cell of each face in this order is the face's designated
+    cell. It carries the face's unit weight and every other cell weighs
+    0, so a polygon that is a union of faces weighs the number of
+    uncovered faces in it. Bit f of node_masks[i] is set when node i
+    sweeps the designated cell of face f.
+    """
     anchor: Point
-    rays: List[Point]                      # primitive directions, ccw
-    cells: List[Cell]
-    cone_cells: List[List[int]]            # per cone, cell ids by depth
-    chord_spans: Dict[int, Tuple[int, int]]  # chord -> (first cone, last cone + 1)
-    chord_depths: Dict[int, List[int]]       # chord -> depth per crossed cone
-    face_cell_count: Dict[int, int]
-    ray_index: Dict[Tuple[int, int], int]
+    chords: Sequence[ClippedSegment]
+    rays: List[Tuple[int, int]]
+    cells: List[int]
+    cone_start: List[int]
+    chord_spans: List[Tuple[int, int]]
+    chord_depths: List[List[int]]
+    node_masks: List[int]
+    uncovered: int = 0                     # bit f set while face f is uncovered
 
     def assign_face_weights(self, covered: Sequence[bool]) -> None:
-        zero = Fraction(0)
-        for cell in self.cells:
-            if covered[cell.face]:
-                cell.weight = zero
-            else:
-                cell.weight = Fraction(1, self.face_cell_count[cell.face])
+        self.uncovered = sum(1 << f for f, done in enumerate(covered) if not done)
 
 
 @dataclass
@@ -148,8 +120,6 @@ class PeelDag:
     pred: List[List[int]]
     topo: List[int]
     partition: Optional[CellPartition] = None
-    node_span: List[Tuple[int, int, int]] = field(default_factory=list)
-    # node_span[i] = (chord, first ray index, last ray index) of node i
 
 
 def _boundary_position(ring: Sequence[Point], p: Point) -> Tuple[int, Rational]:
@@ -235,14 +205,14 @@ def _chord_is_radial(chord: ClippedSegment, anchor: Point) -> bool:
     return orientation(chord.src, chord.dst, anchor) == COLLINEAR
 
 
-def _chord_points(chord: ClippedSegment, arr: Arrangement) -> List[Point]:
-    """V_D points along the chord, ordered from src to dst."""
-    pts = [arr.vertex_point(vid)
-           for _, vid in arr.points_on_extension(chord.ext_index, chord.lo, chord.hi)]
+def _chord_vertices(chord: ClippedSegment, arr: Arrangement) -> List[int]:
+    """V_D vertex ids along the chord, ordered from src to dst."""
+    vids = [vid for _, vid in arr.points_on_extension(chord.ext_index, chord.lo, chord.hi)]
     if not chord.forward:
-        pts.reverse()
-    assert pts and pts[0] == chord.src and pts[-1] == chord.dst
-    return pts
+        vids.reverse()
+    if not vids or arr.vertices[vids[0]] != chord.src or arr.vertices[vids[-1]] != chord.dst:
+        raise InvariantViolation("chord ends are not arrangement vertices")
+    return vids
 
 
 def build_dag(vertex_index: int, piece_tag: int, anchor: Point,
@@ -250,19 +220,15 @@ def build_dag(vertex_index: int, piece_tag: int, anchor: Point,
               with_partition: bool = True) -> PeelDag:
     """Assemble nodes, turn edges and (optionally) the cell partition."""
     chords = clip_and_orient(ring, anchor, arr)
+    chord_vids = [_chord_vertices(chord, arr) for chord in chords]
     nodes: List[DirectedSubsegment] = []
-    chord_pts: List[List[Point]] = []
-    for ci, chord in enumerate(chords):
-        pts = _chord_points(chord, arr)
-        chord_pts.append(pts)
-        for a, b in zip(pts, pts[1:]):
-            nodes.append(DirectedSubsegment(len(nodes), ci, a, b))
-
-    by_src: Dict[Point, List[int]] = {}
-    by_dst: Dict[Point, List[int]] = {}
-    for nd in nodes:
-        by_src.setdefault(nd.src, []).append(nd.index)
-        by_dst.setdefault(nd.dst, []).append(nd.index)
+    by_src: Dict[int, List[int]] = {}
+    by_dst: Dict[int, List[int]] = {}
+    for ci, vids in enumerate(chord_vids):
+        for a, b in zip(vids, vids[1:]):
+            by_src.setdefault(a, []).append(len(nodes))
+            by_dst.setdefault(b, []).append(len(nodes))
+            nodes.append(DirectedSubsegment(len(nodes), ci, arr.vertices[a], arr.vertices[b]))
 
     succ: List[List[int]] = [[] for _ in nodes]
     pred: List[List[int]] = [[] for _ in nodes]
@@ -270,7 +236,7 @@ def build_dag(vertex_index: int, piece_tag: int, anchor: Point,
         outgoing = by_src.get(q, ())
         for i in incoming:
             for j in outgoing:
-                if orientation(nodes[i].src, q, nodes[j].dst) != RIGHT:
+                if orientation(nodes[i].src, nodes[i].dst, nodes[j].dst) != RIGHT:
                     succ[i].append(j)
                     pred[j].append(i)
 
@@ -278,8 +244,7 @@ def build_dag(vertex_index: int, piece_tag: int, anchor: Point,
     dag = PeelDag(vertex_index, piece_tag, anchor, tuple(ring),
                     chords, nodes, succ, pred, topo)
     if with_partition:
-        dag.partition = cell_partition(ring, anchor, chords, arr, chord_pts)
-        dag.node_span = _node_spans(dag, chord_pts)
+        dag.partition = cell_partition(ring, anchor, chords, arr, chord_vids)
     return dag
 
 
@@ -303,124 +268,112 @@ def _topological_order(n: int, succ: List[List[int]], pred: List[List[int]]) -> 
 
 def cell_partition(ring: Sequence[Point], anchor: Point,
                    chords: Sequence[ClippedSegment], arr: Arrangement,
-                   chord_pts: Optional[List[List[Point]]] = None) -> CellPartition:
+                   chord_vids: List[List[int]]) -> CellPartition:
     """Split the region into strips bounded by chords inside angular cones.
 
     Rays go to every arrangement vertex in the region; between two
     consecutive rays the crossing chords are nested, so the strips
     between them partition the cone. Each strip inherits the face of the
     chord sub-edge it leans on, read off the half-edge record.
+    chord_vids lists each chord's V_D vertex ids from src to dst; the
+    node masks follow the node order of build_dag, chord by chord, then
+    sub-edge by sub-edge along the chord.
     """
-    if chord_pts is None:
-        chord_pts = [_chord_points(c, arr) for c in chords]
-    dir_set = set()
-    for pts in chord_pts:
-        for p in pts:
-            if p != anchor:
-                dir_set.add(primitive_direction(p - anchor))
+    anchor_vid = arr.vertex_ids[anchor]
+    direction: Dict[int, Tuple[int, int]] = {}
+    for vids in chord_vids:
+        for v in vids:
+            if v != anchor_vid and v not in direction:
+                direction[v] = primitive_direction(arr.vertices[v] - anchor)
+    rays = sorted(set(direction.values()),
+                  key=cmp_to_key(ccw_compare_from(primitive_direction(ring[1] - anchor))))
+    ray_index = {d: i for i, d in enumerate(rays)}
+    dmids = [(ax + bx, ay + by) for (ax, ay), (bx, by) in zip(rays, rays[1:])]
 
-    d_start = ring[1] - anchor
-    cmp = ccw_compare_from(d_start)
-    rays = [Point(Fraction(dx), Fraction(dy)) for dx, dy in dir_set]
-    rays.sort(key=cmp_to_key(cmp))
-    ray_index = {primitive_direction(d): i for i, d in enumerate(rays)}
-    ncones = len(rays) - 1
-    dmids = [rays[c] + rays[c + 1] for c in range(ncones)]
-
+    # A chord's line meets the mid-ray anchor + t*dmid of a cone it
+    # crosses at t = ((src - anchor) x e) / (dmid x e) for any positive
+    # multiple e of dst - src; e = primitive(dst - src) leaves one
+    # rational numerator per chord and one int denominator per cone.
     # Walking a chord in CCW boundary order keeps the anchor side on its
     # left, so the near face of every strip leaning on a chord sub-edge is
     # the face left of that directed sub-edge.
-    zero = Fraction(0)
-    cone_entries: List[List[Tuple[Fraction, int, int]]] = [[] for _ in range(ncones)]
-    chord_spans: Dict[int, Tuple[int, int]] = {}
-    chord_depths: Dict[int, List[int]] = {}
+    cone_entries: List[List[Tuple[Fraction, int, int]]] = [[] for _ in dmids]
+    chord_rays: List[Optional[List[int]]] = [None] * len(chords)
+    chord_spans: List[Tuple[int, int]] = [(0, 0)] * len(chords)
+    chord_depths: List[List[int]] = [[] for _ in chords]
     for ci, chord in enumerate(chords):
         if _chord_is_radial(chord, anchor):
             continue
-        pts = chord_pts[ci]
-        rs = [ray_index[primitive_direction(p - anchor)] for p in pts]
+        vids = chord_vids[ci]
+        rs = [ray_index[direction[v]] for v in vids]
+        chord_rays[ci] = rs
         chord_spans[ci] = (rs[0], rs[-1])
         chord_depths[ci] = [0] * (rs[-1] - rs[0])
-        cd = chord.dst - chord.src
-        numer = (chord.src - anchor).cross(cd)
-        for j in range(len(pts) - 1):
-            assert rs[j] < rs[j + 1]
-            va, vb = arr.vertex_ids[pts[j]], arr.vertex_ids[pts[j + 1]]
-            face = arr.halfedge_face.get((va, vb))
-            assert face is not None, "strip leans on an exterior face"
+        ex, ey = primitive_direction(chord.dst - chord.src)
+        s = chord.src - anchor
+        numer = s.x * ey - s.y * ex
+        num, den = numer.numerator, numer.denominator
+        for j in range(len(vids) - 1):
+            if rs[j] >= rs[j + 1]:
+                raise InvariantViolation("chord does not turn counterclockwise about the anchor")
+            face = arr.halfedge_face.get((vids[j], vids[j + 1]))
+            if face is None:
+                raise InvariantViolation("strip leans on an exterior face")
             for c in range(rs[j], rs[j + 1]):
-                denom = dmids[c].cross(cd)
-                assert denom != 0
-                cone_entries[c].append((numer / denom, ci, face))
+                mx, my = dmids[c]
+                denom = mx * ey - my * ex
+                if denom == 0:
+                    raise InvariantViolation("chord is parallel to a mid-ray it crosses")
+                cone_entries[c].append((Fraction(num, den * denom), ci, face))
 
-    cells: List[Cell] = []
-    cone_cells: List[List[int]] = [[] for _ in range(ncones)]
-    face_cell_count: Dict[int, int] = {}
-    for c in range(ncones):
-        layers = sorted(cone_entries[c])
-        rpair = (rays[c], rays[c + 1])
-        inner: Optional[Tuple[Point, Point]] = None
-        prev_t = zero
-        for t, ci, face in layers:
-            chord = chords[ci]
-            chord_depths[ci][c - chord_spans[ci][0]] = len(cone_cells[c])
-            cells.append(Cell(face=face, weight=zero, apex=anchor, ray_pair=rpair,
-                              outer_chord=(chord.src, chord.dst), inner_chord=inner,
-                              t_inner=prev_t, t_outer=t))
-            face_cell_count[face] = face_cell_count.get(face, 0) + 1
-            cone_cells[c].append(len(cells) - 1)
-            inner, prev_t = (chord.src, chord.dst), t
+    # entries arrive in chord order and a chord crosses a cone once, so a
+    # stable sort by t alone is the (t, chord, face) order
+    cells: List[int] = []
+    cone_start = [0]
+    designated = bytearray(arr.face_count())
+    chord_cone_masks: List[List[int]] = [[0] * len(d) for d in chord_depths]
+    for c, entries in enumerate(cone_entries):
+        entries.sort(key=itemgetter(0))
+        mask = 0                           # designated faces up to this depth
+        for depth, (_, ci, face) in enumerate(entries):
+            if not designated[face]:
+                designated[face] = 1
+                mask |= 1 << face
+            k = c - chord_spans[ci][0]
+            chord_depths[ci][k] = depth
+            chord_cone_masks[ci][k] = mask
+            cells.append(face)
+        cone_start.append(len(cells))
 
-    return CellPartition(anchor=anchor, rays=rays, cells=cells,
-                         cone_cells=cone_cells,
-                         chord_spans=chord_spans, chord_depths=chord_depths,
-                         face_cell_count=face_cell_count, ray_index=ray_index)
+    # Each face is designated in one cone only, so the masks of distinct
+    # cones are disjoint and a node's mask is the difference of two
+    # running ORs along its chord.
+    node_masks: List[int] = []
+    for ci, vids in enumerate(chord_vids):
+        rs = chord_rays[ci]
+        if rs is None:
+            node_masks.extend([0] * (len(vids) - 1))
+            continue
+        run = [0]
+        for m in chord_cone_masks[ci]:
+            run.append(run[-1] | m)
+        first = rs[0]
+        node_masks.extend(run[b - first] ^ run[a - first] for a, b in zip(rs, rs[1:]))
 
-
-def _node_spans(dag: PeelDag, chord_pts: List[List[Point]]) -> List[Tuple[int, int, int]]:
-    part = dag.partition
-    spans: List[Tuple[int, int, int]] = []
-    k = 0
-    for ci, pts in enumerate(chord_pts):
-        radial = _chord_is_radial(dag.chords[ci], dag.anchor)
-        for a, b in zip(pts, pts[1:]):
-            nd = dag.nodes[k]
-            assert nd.src == a and nd.dst == b
-            if radial:
-                spans.append((ci, 0, 0))
-            else:
-                r0 = part.ray_index[primitive_direction(a - dag.anchor)]
-                r1 = part.ray_index[primitive_direction(b - dag.anchor)]
-                spans.append((ci, r0, r1))
-            k += 1
-    assert k == len(dag.nodes)
-    return spans
+    return CellPartition(anchor=anchor, chords=chords, rays=rays, cells=cells,
+                         cone_start=cone_start, chord_spans=chord_spans,
+                         chord_depths=chord_depths, node_masks=node_masks)
 
 
 def sst_weights(dag: PeelDag) -> None:
-    """Node weight = total cell weight swept between the anchor and node.
-
-    Uses prefix sums over strip depths per cone; a chord piece crossing a
-    cone at depth d sweeps exactly the d+1 strips below it.
-    """
+    """Node weight = number of uncovered faces whose designated cell the
+    node sweeps between itself and the anchor: one masked bit count."""
     part = dag.partition
-    assert part is not None
-    prefixes: List[List[Fraction]] = []
-    for c, cell_ids in enumerate(part.cone_cells):
-        acc = Fraction(0)
-        pref = []
-        for cid in cell_ids:
-            acc += part.cells[cid].weight
-            pref.append(acc)
-        prefixes.append(pref)
-    for nd in dag.nodes:
-        ci, r0, r1 = dag.node_span[nd.index]
-        if r0 == r1:
-            nd.weight = Fraction(0)
-            continue
-        base = part.chord_spans[ci][0]
-        depths = part.chord_depths[ci]
-        nd.weight = sum(prefixes[c][depths[c - base]] for c in range(r0, r1))
+    if part is None:
+        raise PreconditionViolation("graph was built without a cell partition")
+    uncovered = part.uncovered
+    for nd, mask in zip(dag.nodes, part.node_masks):
+        nd.weight = (mask & uncovered).bit_count()
 
 
 def assign_area_weights(dag: PeelDag, good_area) -> None:
@@ -430,7 +383,7 @@ def assign_area_weights(dag: PeelDag, good_area) -> None:
         nd.weight = good_area((dag.anchor, nd.src, nd.dst))
 
 
-def heaviest_maximal_path(dag: PeelDag) -> Tuple[List[int], Fraction]:
+def heaviest_maximal_path(dag: PeelDag) -> Tuple[List[int], int | Fraction]:
     """One maximal path of maximum total node weight, and that weight.
 
     Ties break toward the lowest node index at every choice, so reruns
@@ -438,10 +391,11 @@ def heaviest_maximal_path(dag: PeelDag) -> Tuple[List[int], Fraction]:
     until maximal on both ends.
     """
     if not dag.nodes:
-        return [], Fraction(0)
-    val: List[Fraction] = [Fraction(0)] * len(dag.nodes)
+        return [], 0
+    # sums start at int 0: face counts stay ints, good areas stay Fractions
+    val: List[int | Fraction] = [0] * len(dag.nodes)
     for i in dag.topo:
-        best = Fraction(0)
+        best = 0
         for j in dag.pred[i]:
             if val[j] > best:
                 best = val[j]
@@ -455,12 +409,14 @@ def heaviest_maximal_path(dag: PeelDag) -> Tuple[List[int], Fraction]:
         i = path[0]
         need = val[i] - dag.nodes[i].weight
         prevs = [j for j in dag.pred[i] if val[j] == need]
-        assert prevs, "dynamic programming backtrack lost the trail"
+        if not prevs:
+            raise InvariantViolation("dynamic programming backtrack lost the trail")
         path.insert(0, min(prevs))
     # every successor of a maximum-value node necessarily weighs zero
     while dag.succ[path[-1]]:
         j = min(dag.succ[path[-1]])
-        assert dag.nodes[j].weight == 0
+        if dag.nodes[j].weight != 0:
+            raise InvariantViolation("a successor of the heaviest end node has weight")
         path.append(j)
     return path, val[end]
 
@@ -494,7 +450,8 @@ def reflex_split(poly: PolygonWithHoles, v: Point
     if not poly.is_reflex(v):
         raise PreconditionViolation(f"{v} is not a reflex vertex")
     pieces = _split_star(visibility_polygon(poly, v), poly)
-    assert len(pieces) == 2, "reflex cut must leave two positive pieces"
+    if len(pieces) != 2:
+        raise InvariantViolation("reflex cut must leave two positive pieces")
     return pieces[0], pieces[1]
 
 
@@ -505,9 +462,9 @@ def _split_star(vp: VisibilityPolygon, poly: PolygonWithHoles
     d = v - u
     comps = _components_on_line(vp.ring, v, d)
     own = [c for c in comps if c[0] <= 0 <= c[1]]
-    assert own, "cut direction must enter the region"
+    if not own or own[0][1] <= 0:
+        raise InvariantViolation("cut direction must enter the region")
     hi = own[0][1]
-    assert hi > 0
     z = v + d.scaled(hi)
 
     ring = list(vp.ring)
@@ -525,7 +482,8 @@ def _split_star(vp: VisibilityPolygon, poly: PolygonWithHoles
         cand = [p for i, p in enumerate(cand) if p != cand[i - 1] or len(cand) == 1]
         if len(cand) >= 3 and _ring_area_positive(cand):
             pieces.append(tuple(cand))
-    assert pieces, "reflex cut destroyed the region"
+    if not pieces:
+        raise InvariantViolation("reflex cut destroyed the region")
     return pieces
 
 
@@ -548,7 +506,7 @@ def build_anchor_dags(poly: PolygonWithHoles, arr: Arrangement,
 
 @dataclass(frozen=True)
 class GreedyChoice:
-    value: Fraction
+    value: int                             # uncovered faces the polygons cover
     vertex_index: int
     polygons: Tuple["ConvexPolygon", ...]
 
@@ -562,7 +520,7 @@ def best_restricted(arr: Arrangement, dags: Sequence[PeelDag]) -> Optional[Greed
     fewer polygons, then the lowest vertex index.
     """
     covered = [f.covered for f in arr.faces]
-    per_vertex: Dict[int, List[Tuple[Fraction, PeelDag, List[int]]]] = {}
+    per_vertex: Dict[int, List[Tuple[int, PeelDag, List[int]]]] = {}
     for dag in dags:
         dag.partition.assign_face_weights(covered)
         sst_weights(dag)
@@ -572,7 +530,7 @@ def best_restricted(arr: Arrangement, dags: Sequence[PeelDag]) -> Optional[Greed
     best: Optional[GreedyChoice] = None
     for vi in sorted(per_vertex):
         entries = per_vertex[vi]
-        value = sum((w for w, _, _ in entries), Fraction(0))
+        value = sum(w for w, _, _ in entries)
         polys = tuple(path_polygon(dag, path) for w, dag, path in entries if w > 0)
         if not polys:
             continue

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import List, Optional, Tuple
 
+from .errors import InvariantViolation
 from .exact_geom import (
     ccw_compare_from,
     COLLINEAR,
@@ -74,7 +75,8 @@ def visibility_polygon(poly: PolygonWithHoles, v: Point) -> VisibilityPolygon:
     dirs = [Point(Fraction(dx), Fraction(dy)) for dx, dy in candidates]
     dirs = [d for d in dirs if cmp(d, d_end) <= 0]
     dirs.sort(key=cmp_to_key(cmp))
-    assert primitive_direction(dirs[0]) == primitive_direction(d_start)
+    if primitive_direction(dirs[0]) != primitive_direction(d_start):
+        raise InvariantViolation("direction sweep does not start on the cone's first edge")
 
     edges = list(poly.boundary_edges())
 
@@ -93,7 +95,8 @@ def visibility_polygon(poly: PolygonWithHoles, v: Point) -> VisibilityPolygon:
                 continue
             if best_t is None or t < best_t:
                 best_t, best_edge = t, e
-        assert best_edge is not None, "ray escaped the polygon"
+        if best_edge is None:
+            raise InvariantViolation("ray escaped the polygon")
         return best_edge
 
     fan: List[Point] = [v]
@@ -103,7 +106,8 @@ def visibility_polygon(poly: PolygonWithHoles, v: Point) -> VisibilityPolygon:
         ed = e.direction()
         a = line_intersection(v, d1, e.a, ed)
         b = line_intersection(v, d2, e.a, ed)
-        assert a is not None and b is not None
+        if a is None or b is None:
+            raise InvariantViolation("sector ray is parallel to its nearest edge")
         for p in (a, b):
             if p != fan[-1]:
                 fan.append(p)

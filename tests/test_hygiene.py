@@ -2,8 +2,9 @@
 
 No linter is a dependency, so the checks a linter would make on the
 package are made here with `ast`: every imported name is used, the
-public surface lists only names that resolve to package objects, and
-no floating point enters the exact geometry.
+public surface lists only names that resolve to package objects, no
+floating point enters the exact geometry, and no invariant is an
+`assert` that `python -O` would strip.
 """
 
 import ast
@@ -77,6 +78,15 @@ def test_no_floats_outside_rendering():
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "float"):
                 found.append(f"{path.name}:{node.lineno}: float(...)")
+    assert found == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert; invariants raise the typed errors of errors.py
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
     assert found == []
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexcover import PolygonWithHoles, build_arrangement, pt
 from convexcover.errors import CapExceeded
@@ -16,6 +17,7 @@ from convexcover.exact_geom import (
     segment_in_polygon,
 )
 from convexcover.oracle import (
+    _sweeps_nothing,
     candidate_family,
     enumerate_maximal_paths,
     exact_min_restricted_cover,
@@ -23,7 +25,12 @@ from convexcover.oracle import (
     naive_sst_weight,
     sample_inscribed_convex,
 )
-from convexcover.peel_dag import build_anchor_dags, heaviest_maximal_path, sst_weights
+from convexcover.peel_dag import (
+    build_anchor_dags,
+    heaviest_maximal_path,
+    path_polygon,
+    sst_weights,
+)
 
 
 def fresh_dags(poly):
@@ -125,6 +132,62 @@ class TestNaiveWeights:
                     for path in enumerate_maximal_paths(dag)
                 )
                 assert value == best
+
+
+PROPERTY_INSTANCES = ("square4", "lshape", "holed_square", "s007", "h002")
+
+
+class _GraphCases(dict):
+    """Per-instance graphs; a short repr keeps failure reports readable."""
+
+    def __repr__(self) -> str:
+        return f"<graphs of {', '.join(self)}>"
+
+
+@pytest.fixture(scope="module")
+def covered_mask_cases(request, corpus):
+    """Graphs of each instance, with the faces each enumerable maximal
+    path's polygon contains as a bitmask, found from face reps alone."""
+    named = dict(corpus)
+    cases = _GraphCases()
+    for name in PROPERTY_INSTANCES:
+        poly = named[name] if name in named else request.getfixturevalue(name)
+        arr = build_arrangement(poly)
+        dags = build_anchor_dags(poly, arr)
+        paths = []
+        for dag in dags:
+            if len(dag.nodes) > 200:
+                continue
+            for path in enumerate_maximal_paths(dag):
+                mask = 0
+                if not _sweeps_nothing(dag, path):
+                    piece = path_polygon(dag, path)
+                    for f, face in enumerate(arr.faces):
+                        if piece.contains(face.rep):
+                            mask |= 1 << f
+                paths.append((dag, path, mask))
+        cases[name] = (arr, dags, paths)
+    return cases
+
+
+@pytest.mark.parametrize("name", PROPERTY_INSTANCES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_weights_under_drawn_covered_masks(covered_mask_cases, name, data):
+    # the designated cell must keep fast weights equal to the naive sweep
+    # and maximal-path weights equal to their uncovered face counts
+    arr, dags, paths = covered_mask_cases[name]
+    faces = arr.face_count()
+    drawn = data.draw(st.integers(min_value=0, max_value=(1 << faces) - 1))
+    covered = [bool(drawn >> f & 1) for f in range(faces)]
+    uncovered = ((1 << faces) - 1) & ~drawn
+    for dag in dags:
+        dag.partition.assign_face_weights(covered)
+        sst_weights(dag)
+        for node in dag.nodes:
+            assert node.weight == naive_sst_weight(dag.anchor, node, dag.partition)
+    for dag, path, mask in paths:
+        assert sum(dag.nodes[i].weight for i in path) == (mask & uncovered).bit_count()
 
 
 class TestHomogeneousCoordinates:

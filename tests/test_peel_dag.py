@@ -13,6 +13,7 @@ from convexcover.exact_geom import (
     orientation,
     ring_area,
 )
+from convexcover.oracle import partition_cells
 from convexcover.peel_dag import (
     build_anchor_dags,
     cell_partition,
@@ -105,14 +106,16 @@ def test_heaviest_path_with_everything_covered_is_zero(square4):
 def test_cell_partition_square(square4):
     arr, d0 = square_dag(square4)
     part = d0.partition
-    assert len(part.cells) == 4
+    cells = partition_cells(part)
+    assert len(part.cells) == len(cells) == 4
     assert len(part.rays) == 3
-    assert sum(ring_area(c.ring) for c in part.cells) == square4.area()
-    for cell in part.cells:
-        assert part.cells[part.cone_cells[0][0]].apex == pt(0, 0)
+    assert sum(ring_area(c.ring) for c in cells) == square4.area()
+    for cell in cells:
+        assert cell.apex == pt(0, 0)
         assert 0 <= cell.face < arr.face_count()
     # each face of the square meets exactly one cell of this partition
-    assert part.face_cell_count == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert sorted(part.cells) == [0, 1, 2, 3]
+    assert all(cell.designated for cell in cells)
 
 
 def test_cell_partition_reps_inside_their_face(lshape):
@@ -120,7 +123,7 @@ def test_cell_partition_reps_inside_their_face(lshape):
     arr = build_arrangement(lshape)
     dags = build_anchor_dags(lshape, arr)
     for d in dags:
-        for cell in d.partition.cells:
+        for cell in partition_cells(d.partition):
             face = arr.faces[cell.face]
             assert ring_area(cell.ring) > 0
             assert point_in_convex(cell.rep, face.ring)
@@ -130,7 +133,7 @@ def test_cells_partition_visibility_area_on_corpus(corpus_sample):
     for name, poly in corpus_sample[:6]:
         arr = build_arrangement(poly)
         for d in build_anchor_dags(poly, arr):
-            total = sum(ring_area(c.ring) for c in d.partition.cells)
+            total = sum(ring_area(c.ring) for c in partition_cells(d.partition))
             assert total == ring_area(d.ring), (name, d.vertex_index)
 
 
