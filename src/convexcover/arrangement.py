@@ -128,6 +128,7 @@ def diagonal_extensions(poly: PolygonWithHoles) -> List[DiagonalExtension]:
 class Face:
     """One bounded cell of the arrangement inside the polygon."""
     ring: Tuple[Point, ...]
+    vids: Tuple[int, ...]                      # ring as vids: face left of vids[k]->vids[k+1]
     rep: Point
     area: Rational
     covered: bool = False
@@ -139,13 +140,11 @@ class Arrangement:
     extensions: List[DiagonalExtension]
     vertices: List[Point]                      # V_D, deterministic order
     vertex_ids: Dict[Point, int]
-    ext_points: List[List[Tuple[Rational, int]]]  # per extension: (param, vid) sorted
+    ext_points: List[List[int]]                # per extension: vids in order along it
+    ext_position: List[Dict[int, int]]         # per vid: extension -> index in ext_points
     edges: List[Tuple[int, int]]               # undirected sub-edges (vid pairs)
     faces: List[Face]
     halfedge_face: Dict[Tuple[int, int], Optional[int]]  # face left of vid->vid
-
-    def vertex_point(self, vid: int) -> Point:
-        return self.vertices[vid]
 
     def face_count(self) -> int:
         return len(self.faces)
@@ -157,10 +156,12 @@ class Arrangement:
         for f in self.faces:
             f.covered = False
 
-    def points_on_extension(self, ext_index: int, lo: Rational, hi: Rational):
-        """(param, vid) pairs of arrangement vertices with lo <= param <= hi."""
-        pts = self.ext_points[ext_index]
-        return [pv for pv in pts if lo <= pv[0] <= hi]
+    def shared_extension(self, a: int, b: int) -> int:
+        """Index of the one extension through vertices a and b."""
+        common = self.ext_position[a].keys() & self.ext_position[b].keys()
+        if len(common) != 1:
+            raise InvariantViolation(f"{len(common)} extensions pass through two vertices")
+        return common.pop()
 
 
 def _fan_rep(ring: Sequence[Point]) -> Point:
@@ -172,7 +173,7 @@ def _fan_rep(ring: Sequence[Point]) -> Point:
             cx = (base.x + ring[i].x + ring[i + 1].x) / 3
             cy = (base.y + ring[i].y + ring[i + 1].y) / 3
             return Point(cx, cy)
-    raise ValueError("degenerate face ring")
+    raise InvariantViolation("degenerate face ring")
 
 
 def build_arrangement(poly: PolygonWithHoles,
@@ -201,12 +202,15 @@ def build_arrangement(poly: PolygonWithHoles,
     all_points = sorted({p for d in per_ext_params for p in d.values()})
     vertex_ids = {p: i for i, p in enumerate(all_points)}
 
-    ext_points: List[List[Tuple[Rational, int]]] = []
+    ext_points: List[List[int]] = []
+    ext_position: List[Dict[int, int]] = [{} for _ in all_points]
     edge_set = set()
     for i, d in enumerate(per_ext_params):
-        items = sorted((t, vertex_ids[p]) for t, p in d.items())
-        ext_points.append(items)
-        for (t0, v0), (t1, v1) in zip(items, items[1:]):
+        vids = [vertex_ids[d[t]] for t in sorted(d)]
+        ext_points.append(vids)
+        for k, v in enumerate(vids):
+            ext_position[v][i] = k
+        for v0, v1 in zip(vids, vids[1:]):
             edge_set.add((min(v0, v1), max(v0, v1)))
     edges = sorted(edge_set)
 
@@ -261,7 +265,7 @@ def build_arrangement(poly: PolygonWithHoles,
     face_records.sort(key=lambda r: r[0])
     faces = []
     for idx, (rep, ring, area, cycle) in enumerate(face_records):
-        faces.append(Face(ring=ring, rep=rep, area=area))
+        faces.append(Face(ring=ring, vids=tuple(a for a, _ in cycle), rep=rep, area=area))
         for he in cycle:
             halfedge_face[he] = idx
 
@@ -271,6 +275,7 @@ def build_arrangement(poly: PolygonWithHoles,
         vertices=all_points,
         vertex_ids=vertex_ids,
         ext_points=ext_points,
+        ext_position=ext_position,
         edges=edges,
         faces=faces,
         halfedge_face=halfedge_face,

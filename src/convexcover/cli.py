@@ -1,8 +1,10 @@
 """Command line front end: cover, peel, verify, stats, render.
 
 Exit codes: 0 success, 2 bad usage or invalid input, 3 verification
-failure. Solution data goes to stdout (or the -o file); anything meant
-for humans goes to stderr, so reruns stay byte-identical.
+failure, 4 internal error (the program is at fault, not the input: one
+"error: internal:" line, no traceback). Solution data goes to stdout (or
+the -o file); anything meant for humans goes to stderr, so reruns stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Any, Dict, List, Optional
 
 from .arrangement import build_arrangement
 from .cover import check_pieces, greedy_cover, verify_cover
-from .errors import CapExceeded, InvalidPolygonError, PreconditionViolation
+from .errors import (CapExceeded, CycleDetected, InvalidPolygonError, InvariantViolation,
+                     NonConvexClosure, PreconditionViolation)
 from .fileio import (
     decode_number,
     decode_rings,
@@ -226,6 +229,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
         return 2
+    except (InvariantViolation, CycleDetected, NonConvexClosure) as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -65,12 +65,12 @@ def greedy_cover(poly: PolygonWithHoles, max_iters: Optional[int] = None) -> Cov
                                  iterations=len(gains))
         choice = best_restricted(arr, dags)
         if choice is None or choice.value <= 0:
-            raise RuntimeError("greedy step found no progress with faces uncovered")
+            raise InvariantViolation("greedy step found no progress with faces uncovered")
         gained = 0
         for piece in choice.polygons:
             gained += mark_covered(arr, piece)
         if gained == 0:
-            raise RuntimeError("chosen pieces cover no new face")
+            raise InvariantViolation("chosen pieces cover no new face")
         pieces.extend(choice.polygons)
         gains.append(gained)
     return CoverSolution(poly, arr, pieces, "greedy-cover",

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import InvalidPolygonError
+from .errors import InvalidPolygonError, PreconditionViolation
 
 Rational = Fraction
 
@@ -457,7 +457,7 @@ class PolygonWithHoles:
             for i, p in enumerate(ring):
                 if p == v:
                     return ring[i - 1], ring[(i + 1) % len(ring)]
-        raise ValueError("%s is not a vertex" % (v,))
+        raise PreconditionViolation("%s is not a vertex" % (v,))
 
     def is_reflex(self, v: Point) -> bool:
         """True iff the interior angle at vertex v exceeds 180 degrees.

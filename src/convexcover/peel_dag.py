@@ -1,7 +1,9 @@
 """Per-anchor peel structures: chords, directed subsegments, weights, paths.
 
-For an anchor vertex v with star-shaped region P_v, every arrangement
-segment clipped to P_v yields directed chords; chord pieces between
+For an anchor vertex v with star-shaped region P_v, the chords are read
+off the arrangement: P_v is a union of faces bounded by sub-edges, and
+each maximal run of its sub-edges along one extension is a chord,
+directed by the boundary order around v. Chord pieces between
 consecutive arrangement vertices are the nodes of an acyclic turn graph.
 A node weight is the weight of the triangle (v, node); maximal paths
 correspond exactly to restricted convex polygons containing v, and the
@@ -28,16 +30,14 @@ from .errors import CycleDetected, InvariantViolation, NonConvexClosure, Precond
 from .exact_geom import (
     ccw_compare_from,
     COLLINEAR,
-    Location,
     on_segment,
     orientation,
     Point,
-    point_at,
     PolygonWithHoles,
     primitive_direction,
     Rational,
     RIGHT,
-    ring_location,
+    ring_area,
     Segment,
     segment_param,
 )
@@ -46,18 +46,15 @@ from .visibility import VisibilityPolygon, visibility_polygon
 
 @dataclass(frozen=True)
 class ClippedSegment:
-    """One connected component of an arrangement segment inside P_v.
+    """One chord: a maximal run of region sub-edges along one extension.
 
-    lo and hi are parameters along the parent extension segment; src and
-    dst order the chord by the boundary positions of its endpoints,
-    counterclockwise from the anchor.
+    vids lists its V_D vertex ids from src to dst; src comes first in
+    the counterclockwise boundary order that starts at the anchor.
     """
     ext_index: int
     src: Point
     dst: Point
-    lo: Rational
-    hi: Rational
-    forward: bool  # src sits at parameter lo
+    vids: Tuple[int, ...]
 
 
 @dataclass
@@ -135,69 +132,61 @@ def _boundary_position(ring: Sequence[Point], p: Point) -> Tuple[int, Rational]:
     raise PreconditionViolation("point is not on the region boundary")
 
 
-def _line_ring_hits(ring: Sequence[Point], origin: Point, direction: Point) -> List[Rational]:
-    """Parameters where the line origin + t*direction meets the ring."""
-    params: List[Rational] = []
-    n = len(ring)
-    for i in range(n):
-        a, b = ring[i], ring[(i + 1) % n]
-        ed = b - a
-        denom = direction.cross(ed)
-        if denom == 0:
-            if orientation(a, b, origin) == COLLINEAR:
-                params.append(segment_param(a, Segment(origin, origin + direction)))
-                params.append(segment_param(b, Segment(origin, origin + direction)))
-            continue
-        s = (a - origin).cross(direction) / denom
-        if 0 <= s <= 1:
-            params.append((a - origin).cross(ed) / denom)
-    return params
+def clip_and_orient(ring: Sequence[Point], arr: Arrangement) -> List[ClippedSegment]:
+    """Read the region's chords off the arrangement and orient them.
 
-
-def _components_on_line(ring: Sequence[Point], origin: Point, direction: Point
-                        ) -> List[Tuple[Rational, Rational]]:
-    """Maximal intervals of the line lying inside the closed ring region."""
-    params = sorted(set(_line_ring_hits(ring, origin, direction)))
-    if len(params) < 2:
-        return []
-    comps: List[Tuple[Rational, Rational]] = []
-    run: Optional[Tuple[Rational, Rational]] = None
-    for lo, hi in zip(params, params[1:]):
-        mid = point_at(Segment(origin, origin + direction), (lo + hi) / 2)
-        if ring_location(mid, ring) is not Location.EXTERIOR:
-            run = (run[0], hi) if run else (lo, hi)
-        else:
-            if run:
-                comps.append(run)
-            run = None
-    if run:
-        comps.append(run)
-    return comps
-
-
-def clip_and_orient(ring: Sequence[Point], anchor: Point, arr: Arrangement
-                    ) -> List[ClippedSegment]:
-    """Clip every arrangement segment to the region and orient the pieces.
-
-    Zero-length components are discarded. Orientation follows the
-    counterclockwise boundary order of the endpoints, starting at the
-    anchor, so chords touching the anchor point away from it.
+    Walking the ring (which starts at the anchor) along its extensions
+    marks the boundary sub-edges and numbers the boundary vertices in
+    walk order. The region's sub-edges are the marked ones (which keeps
+    one-dimensional spikes of a split piece) and those of the faces
+    flooded from the anchor without crossing a marked one. A chord is a
+    maximal run of them along one extension, directed from its
+    first-walked end.
     """
+    corners = [arr.vertex_ids.get(p) for p in ring]
+    if None in corners:
+        raise InvariantViolation("region corner is not an arrangement vertex")
+    walk = corners[:1]
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        ei = arr.shared_extension(a, b)
+        i, j = arr.ext_position[a][ei], arr.ext_position[b][ei]
+        line = arr.ext_points[ei]
+        walk.extend(line[i + 1:j + 1] if i < j else line[j:i][::-1])
+    seq = {v: k for k, v in enumerate(dict.fromkeys(walk))}
+    marked = set(zip(walk, walk[1:])) | set(zip(walk[1:], walk))
+
+    # both half-edges of an in-region sub-edge end up in inside: a marked
+    # one was added both ways, and an unmarked one borders two flooded faces
+    inside = set(marked)
+    stack = [arr.halfedge_face[(walk[0], walk[1])]]
+    seen = set(stack)
+    while stack:
+        f = stack.pop()
+        if f is None:
+            raise InvariantViolation("region flood left the polygon")
+        vids = arr.faces[f].vids
+        for a, b in zip(vids, vids[1:] + vids[:1]):
+            inside.add((a, b))
+            g = arr.halfedge_face[(b, a)]
+            if (a, b) not in marked and g not in seen:
+                seen.add(g)
+                stack.append(g)
+
     chords: List[ClippedSegment] = []
-    for ei, ext in enumerate(arr.extensions):
-        seg = ext.segment
-        d = seg.direction()
-        comps = []
-        for lo, hi in _components_on_line(ring, seg.a, d):
-            lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-            if lo < hi:
-                comps.append((lo, hi))
-        for lo, hi in comps:
-            pa, pb = point_at(seg, lo), point_at(seg, hi)
-            if _boundary_position(ring, pa) <= _boundary_position(ring, pb):
-                chords.append(ClippedSegment(ei, pa, pb, lo, hi, True))
-            else:
-                chords.append(ClippedSegment(ei, pb, pa, lo, hi, False))
+    for ei, line in enumerate(arr.ext_points):
+        run = line[:1]
+        for p, q in zip(line, line[1:] + [-1]):  # no vid -1: it ends the last run
+            if (p, q) in inside:
+                run.append(q)
+                continue
+            if len(run) > 1:
+                if run[0] not in seq or run[-1] not in seq:
+                    raise InvariantViolation("chord ends off the region boundary")
+                if seq[run[0]] > seq[run[-1]]:
+                    run.reverse()
+                chords.append(ClippedSegment(ei, arr.vertices[run[0]],
+                                             arr.vertices[run[-1]], tuple(run)))
+            run = [q]
     return chords
 
 
@@ -205,26 +194,16 @@ def _chord_is_radial(chord: ClippedSegment, anchor: Point) -> bool:
     return orientation(chord.src, chord.dst, anchor) == COLLINEAR
 
 
-def _chord_vertices(chord: ClippedSegment, arr: Arrangement) -> List[int]:
-    """V_D vertex ids along the chord, ordered from src to dst."""
-    vids = [vid for _, vid in arr.points_on_extension(chord.ext_index, chord.lo, chord.hi)]
-    if not chord.forward:
-        vids.reverse()
-    if not vids or arr.vertices[vids[0]] != chord.src or arr.vertices[vids[-1]] != chord.dst:
-        raise InvariantViolation("chord ends are not arrangement vertices")
-    return vids
-
-
 def build_dag(vertex_index: int, piece_tag: int, anchor: Point,
               ring: Sequence[Point], arr: Arrangement,
               with_partition: bool = True) -> PeelDag:
     """Assemble nodes, turn edges and (optionally) the cell partition."""
-    chords = clip_and_orient(ring, anchor, arr)
-    chord_vids = [_chord_vertices(chord, arr) for chord in chords]
+    chords = clip_and_orient(ring, arr)
     nodes: List[DirectedSubsegment] = []
     by_src: Dict[int, List[int]] = {}
     by_dst: Dict[int, List[int]] = {}
-    for ci, vids in enumerate(chord_vids):
+    for ci, chord in enumerate(chords):
+        vids = chord.vids
         for a, b in zip(vids, vids[1:]):
             by_src.setdefault(a, []).append(len(nodes))
             by_dst.setdefault(b, []).append(len(nodes))
@@ -244,7 +223,7 @@ def build_dag(vertex_index: int, piece_tag: int, anchor: Point,
     dag = PeelDag(vertex_index, piece_tag, anchor, tuple(ring),
                     chords, nodes, succ, pred, topo)
     if with_partition:
-        dag.partition = cell_partition(ring, anchor, chords, arr, chord_vids)
+        dag.partition = cell_partition(ring, anchor, chords, arr)
     return dag
 
 
@@ -267,22 +246,20 @@ def _topological_order(n: int, succ: List[List[int]], pred: List[List[int]]) -> 
 
 
 def cell_partition(ring: Sequence[Point], anchor: Point,
-                   chords: Sequence[ClippedSegment], arr: Arrangement,
-                   chord_vids: List[List[int]]) -> CellPartition:
+                   chords: Sequence[ClippedSegment], arr: Arrangement) -> CellPartition:
     """Split the region into strips bounded by chords inside angular cones.
 
     Rays go to every arrangement vertex in the region; between two
     consecutive rays the crossing chords are nested, so the strips
     between them partition the cone. Each strip inherits the face of the
     chord sub-edge it leans on, read off the half-edge record.
-    chord_vids lists each chord's V_D vertex ids from src to dst; the
-    node masks follow the node order of build_dag, chord by chord, then
-    sub-edge by sub-edge along the chord.
+    The node masks follow the node order of build_dag, chord by chord,
+    then sub-edge by sub-edge along the chord.
     """
     anchor_vid = arr.vertex_ids[anchor]
     direction: Dict[int, Tuple[int, int]] = {}
-    for vids in chord_vids:
-        for v in vids:
+    for chord in chords:
+        for v in chord.vids:
             if v != anchor_vid and v not in direction:
                 direction[v] = primitive_direction(arr.vertices[v] - anchor)
     rays = sorted(set(direction.values()),
@@ -304,7 +281,7 @@ def cell_partition(ring: Sequence[Point], anchor: Point,
     for ci, chord in enumerate(chords):
         if _chord_is_radial(chord, anchor):
             continue
-        vids = chord_vids[ci]
+        vids = chord.vids
         rs = [ray_index[direction[v]] for v in vids]
         chord_rays[ci] = rs
         chord_spans[ci] = (rs[0], rs[-1])
@@ -349,10 +326,10 @@ def cell_partition(ring: Sequence[Point], anchor: Point,
     # cones are disjoint and a node's mask is the difference of two
     # running ORs along its chord.
     node_masks: List[int] = []
-    for ci, vids in enumerate(chord_vids):
+    for ci, chord in enumerate(chords):
         rs = chord_rays[ci]
         if rs is None:
-            node_masks.extend([0] * (len(vids) - 1))
+            node_masks.extend([0] * (len(chord.vids) - 1))
             continue
         run = [0]
         for m in chord_cone_masks[ci]:
@@ -439,7 +416,7 @@ def path_polygon(dag: PeelDag, path: Sequence[int]) -> "ConvexPolygon":
         raise NonConvexClosure(f"path closure is not convex: {exc}") from exc
 
 
-def reflex_split(poly: PolygonWithHoles, v: Point
+def reflex_split(poly: PolygonWithHoles, arr: Arrangement, v: Point
                  ) -> Tuple[Tuple[Point, ...], Tuple[Point, ...]]:
     """Split the star region of a reflex vertex into its two halves.
 
@@ -449,24 +426,31 @@ def reflex_split(poly: PolygonWithHoles, v: Point
     """
     if not poly.is_reflex(v):
         raise PreconditionViolation(f"{v} is not a reflex vertex")
-    pieces = _split_star(visibility_polygon(poly, v), poly)
+    pieces = _split_star(visibility_polygon(poly, v), reflex_cut_end(poly, arr, v))
     if len(pieces) != 2:
         raise InvariantViolation("reflex cut must leave two positive pieces")
     return pieces[0], pieces[1]
 
 
-def _split_star(vp: VisibilityPolygon, poly: PolygonWithHoles
-                ) -> List[Tuple[Point, ...]]:
-    v = vp.anchor
-    u, _ = poly.neighbors(v)
-    d = v - u
-    comps = _components_on_line(vp.ring, v, d)
-    own = [c for c in comps if c[0] <= 0 <= c[1]]
-    if not own or own[0][1] <= 0:
-        raise InvariantViolation("cut direction must enter the region")
-    hi = own[0][1]
-    z = v + d.scaled(hi)
+def reflex_cut_end(poly: PolygonWithHoles, arr: Arrangement, v: Point) -> Point:
+    """Far end of the reflex cut at v.
 
+    The cut runs from v away from the vertex u before it until it leaves
+    the polygon, which is where the extension through u and v ends.
+    """
+    u, _ = poly.neighbors(v)
+    ui, vi = arr.vertex_ids[u], arr.vertex_ids[v]
+    ei = arr.shared_extension(ui, vi)
+    line = arr.ext_points[ei]
+    z = line[-1] if arr.ext_position[ui][ei] < arr.ext_position[vi][ei] else line[0]
+    if z == vi:
+        raise InvariantViolation("cut direction must enter the region")
+    return arr.vertices[z]
+
+
+def _split_star(vp: VisibilityPolygon, z: Point) -> List[Tuple[Point, ...]]:
+    """Cut the ring of vp along the segment from its anchor to the boundary point z."""
+    v = vp.anchor
     ring = list(vp.ring)
     n = len(ring)
     j, t = _boundary_position(ring, z)
@@ -480,16 +464,11 @@ def _split_star(vp: VisibilityPolygon, poly: PolygonWithHoles
     pieces = []
     for cand in (first, second):
         cand = [p for i, p in enumerate(cand) if p != cand[i - 1] or len(cand) == 1]
-        if len(cand) >= 3 and _ring_area_positive(cand):
+        if len(cand) >= 3 and ring_area(cand) > 0:
             pieces.append(tuple(cand))
     if not pieces:
         raise InvariantViolation("reflex cut destroyed the region")
     return pieces
-
-
-def _ring_area_positive(ring: Sequence[Point]) -> bool:
-    from .exact_geom import ring_area
-    return ring_area(ring) > 0
 
 
 def build_anchor_dags(poly: PolygonWithHoles, arr: Arrangement,
@@ -498,7 +477,8 @@ def build_anchor_dags(poly: PolygonWithHoles, arr: Arrangement,
     dags: List[PeelDag] = []
     for vi, v in enumerate(poly.vertices()):
         vp = visibility_polygon(poly, v)
-        rings = _split_star(vp, poly) if poly.is_reflex(v) else [vp.ring]
+        rings = (_split_star(vp, reflex_cut_end(poly, arr, v)) if poly.is_reflex(v)
+                 else [vp.ring])
         dags.extend(build_dag(vi, tag, v, ring, arr, with_partition)
                     for tag, ring in enumerate(rings))
     return dags

@@ -13,7 +13,7 @@ from convexcover import (
 )
 from convexcover.arrangement import extend_within, mark_covered
 from convexcover.errors import PreconditionViolation
-from convexcover.exact_geom import Segment, point_location, Location
+from convexcover.exact_geom import Segment, point_location, Location, segment_param
 
 
 def test_square_counts(square4):
@@ -97,13 +97,15 @@ def test_square_diagonal_subedges(square4):
     arr = build_arrangement(square4)
     diag = next(i for i, e in enumerate(arr.extensions)
                 if e.segment == Segment(pt(0, 0), pt(4, 4)))
-    on = arr.points_on_extension(diag, Fraction(0), Fraction(1))
-    assert [(t, arr.vertex_point(v)) for t, v in on] == [
+    on = arr.ext_points[diag]
+    seg = arr.extensions[diag].segment
+    assert [(segment_param(arr.vertices[v], seg), arr.vertices[v]) for v in on] == [
         (Fraction(0), pt(0, 0)),
         (Fraction(1, 2), pt(2, 2)),
         (Fraction(1), pt(4, 4)),
     ]
-    a, b = on[0][1], on[1][1]
+    assert [arr.ext_position[v][diag] for v in on] == [0, 1, 2]
+    a, b = on[0], on[1]
     left, right = arr.halfedge_face[(a, b)], arr.halfedge_face[(b, a)]
     assert left is not None and right is not None and left != right
     # left of (0,0)->(2,2) is the upper-left triangle
@@ -118,6 +120,10 @@ def test_halfedge_faces_are_consistent(square4):
         fr = arr.halfedge_face.get((b, a))
         assert fl is not None or fr is not None
         assert fl != fr
+    for idx, face in enumerate(arr.faces):
+        assert tuple(arr.vertices[v] for v in face.vids) == face.ring
+        for a, b in zip(face.vids, face.vids[1:] + face.vids[:1]):
+            assert arr.halfedge_face[(a, b)] == idx
 
 
 def test_mark_covered_and_reset(square4):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from convexcover.cli import main
+from convexcover.errors import CycleDetected, InvariantViolation, NonConvexClosure
 from convexcover.fileio import dump_json
 
 
@@ -239,6 +240,19 @@ class TestErrors:
         code, _, err = run(capsys, ["cover", str(tmp_path)])
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [InvariantViolation("lost the trail"),
+                                     CycleDetected("turn graph is not acyclic"),
+                                     NonConvexClosure("path closure is not convex")])
+    def test_internal_error_exits_4(self, capsys, square_file, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr("convexcover.cli.greedy_cover", broken)
+        code, out, err = run(capsys, ["cover", square_file])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal:") and err.count("\n") == 1
+        assert str(exc) in err
 
     def test_usage_errors(self, capsys):
         assert run(capsys, [])[0] == 2

@@ -3,8 +3,9 @@
 No linter is a dependency, so the checks a linter would make on the
 package are made here with `ast`: every imported name is used, the
 public surface lists only names that resolve to package objects, no
-floating point enters the exact geometry, and no invariant is an
-`assert` that `python -O` would strip.
+floating point enters the exact geometry, no invariant is an `assert`
+that `python -O` would strip, and none raises a bare RuntimeError or
+ValueError.
 """
 
 import ast
@@ -87,6 +88,19 @@ def test_no_assert_statements():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_untyped_raises():
+    # internal invariants raise InvariantViolation and bad calls
+    # PreconditionViolation, which the CLI maps to documented exit codes
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("RuntimeError", "ValueError"):
+                    found.append(f"{path.name}:{node.lineno}: raise {exc.id}")
     assert found == []
 
 

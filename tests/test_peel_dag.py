@@ -1,17 +1,21 @@
-"""Chord clipping, cell partitions, subsegment graphs and path peeling."""
+"""Chords read off the arrangement, cell partitions, subsegment graphs
+and path peeling."""
 
 from fractions import Fraction
 
 import pytest
 
 from convexcover import PolygonWithHoles, build_arrangement, pt
+from convexcover.arrangement import extend_within
 from convexcover.errors import NonConvexClosure, PreconditionViolation
 from convexcover.exact_geom import (
     COLLINEAR,
+    Location,
     RIGHT,
     Segment,
     orientation,
     ring_area,
+    ring_location,
 )
 from convexcover.oracle import partition_cells
 from convexcover.peel_dag import (
@@ -20,6 +24,7 @@ from convexcover.peel_dag import (
     clip_and_orient,
     heaviest_maximal_path,
     path_polygon,
+    reflex_cut_end,
     reflex_split,
     sst_weights,
 )
@@ -36,17 +41,68 @@ def square_dag(square4):
 def test_clip_and_orient_square_diagonals(square4):
     arr = build_arrangement(square4)
     ring = square4.outer
-    chords = clip_and_orient(ring, pt(0, 0), arr)
+    chords = clip_and_orient(ring, arr)
     assert len(chords) == 6
     segs = {(c.src, c.dst) for c in chords}
     # the antidiagonal is directed by ccw boundary order: (4,0) before (0,4)
     assert (pt(4, 0), pt(0, 4)) in segs
     assert (pt(0, 0), pt(4, 4)) in segs
     for c in chords:
+        assert [arr.vertices[v] for v in (c.vids[0], c.vids[-1])] == [c.src, c.dst]
         if c.src == pt(0, 0):
             continue
         pos_src = square4.outer.index(c.src) if c.src in square4.outer else None
         assert pos_src is not None or c.src != c.dst
+
+
+def test_nodes_are_the_subedges_in_the_closed_region(corpus_sample):
+    # the definition: a sub-edge is a node when its midpoint lies in the
+    # closed region, and a non-radial node has the anchor on its left
+    for name, poly in corpus_sample:
+        arr = build_arrangement(poly)
+        for d in build_anchor_dags(poly, arr, with_partition=False):
+            expected = set()
+            for a, b in arr.edges:
+                pa, pb = arr.vertices[a], arr.vertices[b]
+                mid = pt((pa.x + pb.x) / 2, (pa.y + pb.y) / 2)
+                if ring_location(mid, d.ring) is not Location.EXTERIOR:
+                    expected.add((a, b))
+            got = [tuple(sorted((arr.vertex_ids[n.src], arr.vertex_ids[n.dst])))
+                   for n in d.nodes]
+            assert sorted(got) == sorted(expected), (name, d.vertex_index, d.piece_tag)
+            for n in d.nodes:
+                # radial nodes are collinear with the anchor, the rest turn around it
+                assert orientation(n.src, n.dst, d.anchor) != RIGHT, \
+                    (name, d.vertex_index, n.index)
+
+
+def test_reflex_piece_keeps_its_spike(corpus):
+    # the first piece of s007 at (6,5) ends in a one-dimensional spike
+    # down x = 6 that no face of the piece borders; only the walk along
+    # the ring keeps its sub-edges as nodes
+    name, poly = corpus[7]
+    assert name == "s007"
+    arr = build_arrangement(poly)
+    piece = next(d for d in build_anchor_dags(poly, arr, with_partition=False)
+                 if d.anchor == pt(6, 5) and d.piece_tag == 0)
+    assert piece.ring == (pt(6, 5), pt(5, 4), pt(6, 3), pt(6, Fraction(4, 3)))
+    segs = [(n.src, n.dst) for n in piece.nodes]
+    assert (pt(6, 3), pt(6, Fraction(8, 3))) in segs
+    assert (pt(6, Fraction(8, 3)), pt(6, Fraction(4, 3))) in segs
+
+
+def test_reflex_cut_ends_where_the_extension_leaves(lshape, holed_square, corpus_sample):
+    # extend_within clips the line uv against the polygon directly
+    polys = [("lshape", lshape), ("holed_square", holed_square)] + list(corpus_sample)
+    cuts = 0
+    for name, poly in polys:
+        arr = build_arrangement(poly)
+        for v in poly.vertices():
+            if poly.is_reflex(v):
+                u, _ = poly.neighbors(v)
+                assert reflex_cut_end(poly, arr, v) == extend_within(poly, u, v).b, (name, v)
+                cuts += 1
+    assert cuts > 10
 
 
 def test_square_anchor_dag_structure(square4):
@@ -146,7 +202,7 @@ def test_path_polygon_rejects_radial_only_path(square4):
 
 
 def test_reflex_split_lshape(lshape):
-    r1, r2 = reflex_split(lshape, pt(1, 1))
+    r1, r2 = reflex_split(lshape, build_arrangement(lshape), pt(1, 1))
     assert r1 == (pt(1, 1), pt(1, 2), pt(0, 2), pt(0, 1))
     assert r2 == (pt(1, 1), pt(0, 1), pt(0, 0), pt(2, 0), pt(2, 1))
     assert ring_area(r1) + ring_area(r2) == lshape.area()
@@ -154,11 +210,11 @@ def test_reflex_split_lshape(lshape):
 
 def test_reflex_split_rejects_convex_vertex(lshape):
     with pytest.raises(PreconditionViolation):
-        reflex_split(lshape, pt(0, 0))
+        reflex_split(lshape, build_arrangement(lshape), pt(0, 0))
 
 
 def test_reflex_split_hole_corner(holed_square):
-    r1, r2 = reflex_split(holed_square, pt(1, 1))
+    r1, r2 = reflex_split(holed_square, build_arrangement(holed_square), pt(1, 1))
     areas = sorted((ring_area(r1), ring_area(r2)))
     assert all(a > 0 for a in areas)
     vp = visibility_polygon(holed_square, pt(1, 1))
